@@ -12,8 +12,13 @@ directly (>=3x, zero re-traces on noise-plan cache hits); the
 ``benchmark`` fixtures put the two paths side by side in the comparison
 table.  The legacy leg runs a shot subsample and extrapolates linearly
 — per-shot cost is constant, so this only flatters the legacy side
-(skips its per-run trace overhead).  Set ``REPRO_BENCH_SMOKE=1`` (the
-CI smoke job does) to shrink the workload.
+(skips its per-run trace overhead).
+
+``test_bench_noisy_fake_backend`` runs the paper's own noise instead:
+rd53 compiled for a Valencia-like device under its fake-backend model,
+where every gate anchors a general-Kraus channel (depolarizing composed
+with thermal relaxation; thermal relaxation on both CX qubits).  Set
+``REPRO_BENCH_SMOKE=1`` (the CI smoke job does) to shrink the workloads.
 """
 
 import os
@@ -21,7 +26,14 @@ import time
 
 from repro.circuits import QuantumCircuit
 from repro.execution import get_noise_plan_cache, run
-from repro.noise import NoiseModel, ReadoutError, depolarizing
+from repro.noise import (
+    NoiseModel,
+    ReadoutError,
+    depolarizing,
+    valencia_like_backend,
+)
+from repro.revlib import load_benchmark
+from repro.transpiler import transpile
 
 _SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
 
@@ -30,6 +42,7 @@ _LAYERS = 4 if _SMOKE else 8
 _SHOTS = 300 if _SMOKE else 1000
 _LEGACY_SHOTS = 30 if _SMOKE else 100  # extrapolated up to _SHOTS
 _MIN_SPEEDUP = 2.0 if _SMOKE else 3.0
+_FAKE_BACKEND_SHOTS = 300 if _SMOKE else 1000
 
 
 def _workload():
@@ -66,6 +79,28 @@ def test_bench_noisy_batched_warm(benchmark):
 
     counts = benchmark(run, circuit, _SHOTS, noise_model=model, seed=1)
     assert counts.shots == _SHOTS
+
+
+def _fake_backend_workload():
+    """rd53 compiled for a Valencia-like device, every qubit measured."""
+    circuit = load_benchmark("rd53").circuit()
+    backend = valencia_like_backend(circuit.num_qubits)
+    compiled = transpile(circuit, backend=backend).circuit.copy()
+    compiled.num_clbits = compiled.num_qubits
+    for q in range(compiled.num_qubits):
+        compiled.measure(q, q)
+    return compiled, backend.noise_model()
+
+
+def test_bench_noisy_fake_backend(benchmark):
+    """General-Kraus noise through a warm noise-plan cache."""
+    circuit, model = _fake_backend_workload()
+    run(circuit, _FAKE_BACKEND_SHOTS, noise_model=model, seed=0)
+
+    counts = benchmark(
+        run, circuit, _FAKE_BACKEND_SHOTS, noise_model=model, seed=1
+    )
+    assert counts.shots == _FAKE_BACKEND_SHOTS
 
 
 def test_bench_noisy_legacy(benchmark):

@@ -31,6 +31,7 @@ in :mod:`repro.execution.plan_cache`.
 
 from __future__ import annotations
 
+import functools
 import threading
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -72,20 +73,46 @@ def _monomial_decomposition(matrix: np.ndarray):
     return rows, phases
 
 
+@functools.lru_cache(maxsize=4096)
 def _basis_selector(
-    index: int, qubits: Sequence[int], num_qubits: int
+    index: int, qubits: Tuple[int, ...], num_qubits: int
 ) -> Tuple:
     """Batch-tensor selector fixing *qubits* to the bits of *index*.
 
     Axis 0 is the shot axis; qubit ``q`` lives on axis ``q + 1``.  Bit
     ordering follows the gate-matrix convention: the first listed
-    qubit is the most significant bit of *index*.
+    qubit is the most significant bit of *index*.  Interned, like
+    :func:`_monomial_moves`: plans share one tuple per selector.
     """
     sel: List = [slice(None)] * (num_qubits + 1)
     k = len(qubits)
     for t, qubit in enumerate(qubits):
         sel[qubit + 1] = (index >> (k - 1 - t)) & 1
     return tuple(sel)
+
+
+@functools.lru_cache(maxsize=1024)
+def _monomial_moves(
+    rows: Tuple[int, ...],
+    phases: Tuple[complex, ...],
+    qubits: Tuple[int, ...],
+    num_qubits: int,
+    dtype: np.dtype,
+) -> Tuple:
+    """The interned slice-copy program of one monomial op.
+
+    ``(out_sel, in_sel, phase)`` per basis state, phase ``None`` when
+    exactly 1.  Pure in its arguments, so every plan applying the same
+    monomial gate to the same qubits shares one program.
+    """
+    return tuple(
+        (
+            _basis_selector(rows[j], qubits, num_qubits),
+            _basis_selector(j, qubits, num_qubits),
+            None if phases[j] == 1 else dtype.type(phases[j]),
+        )
+        for j in range(len(rows))
+    )
 
 
 def _compile_span(
@@ -122,13 +149,12 @@ def _compile_span(
         monomial = _monomial_decomposition(matrix)
         if monomial is not None:
             rows, phases = monomial
-            moves = tuple(
-                (
-                    _basis_selector(int(rows[j]), op.qubits, num_qubits),
-                    _basis_selector(j, op.qubits, num_qubits),
-                    None if phases[j] == 1 else dtype.type(phases[j]),
-                )
-                for j in range(matrix.shape[0])
+            moves = _monomial_moves(
+                tuple(rows.tolist()),
+                tuple(phases.tolist()),
+                tuple(op.qubits),
+                num_qubits,
+                dtype,
             )
             compiled.append(("perm", moves))
         elif len(op.qubits) == 1:
@@ -158,12 +184,16 @@ class ChannelBinding:
     ``"kraus"`` (branch probabilities are ``Tr(K^† K rho)``).  All the
     per-application work of the legacy simulators — cumulative tables,
     ``op / sqrt(p)`` scaling, Gram matrices, no-op branch flags — is
-    resolved here, once per plan.
+    resolved once per channel in its
+    :class:`~repro.noise.channels.BranchTable` (``table``), over the
+    non-zero Kraus operators only; the binding adds the qubits.  It
+    keeps the table, not the channel: a cached plan need not hold on
+    to the noise model it was traced against.
     """
 
     __slots__ = (
-        "channel",
         "qubits",
+        "table",
         "kind",
         "operators",
         "cumulative",
@@ -173,48 +203,15 @@ class ChannelBinding:
     )
 
     def __init__(self, channel, qubits: Sequence[int]) -> None:
-        self.channel = channel
         self.qubits = tuple(qubits)
-        operators = tuple(
-            np.asarray(op) for op in channel.kraus_operators
-        )
-        self.operators = operators
-        mixed = getattr(channel, "mixed_unitary_probs", None)
-        if mixed is not None:
-            self.kind = "mixed"
-            cumulative = getattr(channel, "mixed_unitary_cumulative", None)
-            if cumulative is None:
-                cumulative = np.cumsum(mixed)
-            self.cumulative = np.asarray(cumulative)
-            scaled = getattr(channel, "mixed_unitary_scaled", None)
-            if scaled is None:
-                scaled = tuple(
-                    op / np.sqrt(p) if p > 0 else None
-                    for op, p in zip(operators, mixed)
-                )
-            self.scaled_ops = tuple(scaled)
-            self.grams = None
-        else:
-            self.kind = "kraus"
-            self.cumulative = None
-            self.scaled_ops = None
-            grams = getattr(channel, "kraus_grams", None)
-            if grams is None:
-                grams = tuple(op.conj().T @ op for op in operators)
-            self.grams = tuple(grams)
-        flags = getattr(channel, "scalar_identity_flags", None)
-        if flags is None:
-            dim = operators[0].shape[0]
-            flags = tuple(
-                bool(
-                    abs(op[0, 0]) > 1e-12
-                    and np.allclose(
-                        op, op[0, 0] * np.eye(dim), atol=1e-12
-                    )
-                )
-                for op in operators
-            )
-        self.identity_flags = tuple(flags)
+        table = channel.branch_table
+        self.table = table
+        self.kind = table.kind
+        self.operators = table.operators
+        self.cumulative = table.cumulative
+        self.scaled_ops = table.scaled_ops
+        self.identity_flags = table.identity_flags
+        self.grams = table.grams
 
     @property
     def num_branches(self) -> int:
@@ -339,6 +336,8 @@ def build_noise_plan(
     steps: List[Tuple] = []
     span: List = []
     measured: List[Tuple[int, int]] = []
+    # one binding per (channel, qubits): a plan retains its bindings
+    bindings: Dict[Tuple, ChannelBinding] = {}
     site = 0
     source_gates = 0
 
@@ -405,7 +404,11 @@ def build_noise_plan(
                 )
                 continue
             _flush_span()
-            steps.append(("channel", ChannelBinding(channel, qubits), site))
+            binding = bindings.get((channel, qubits))
+            if binding is None:
+                binding = ChannelBinding(channel, qubits)
+                bindings[(channel, qubits)] = binding
+            steps.append(("channel", binding, site))
             site += 1
     _flush_span()
 

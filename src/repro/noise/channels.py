@@ -14,6 +14,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 __all__ = [
+    "BranchTable",
     "QuantumChannel",
     "ReadoutError",
     "bit_flip",
@@ -68,6 +69,7 @@ class QuantumChannel:
         self._mixed_unitary_cumulative: Optional[np.ndarray] = None
         self._mixed_unitary_scaled: Optional[tuple] = None
         self._kraus_grams: Optional[tuple] = None
+        self._branch_table: Optional[BranchTable] = None
         dim = 2 ** self.num_qubits
         # per-operator "proportional to identity" flags: lets simulators
         # skip whole-batch applications of no-op branches
@@ -156,6 +158,17 @@ class QuantumChannel:
             )
         return self._kraus_grams
 
+    @property
+    def branch_table(self) -> "BranchTable":
+        """Trajectory tables over the non-zero Kraus operators.
+
+        Built once per channel and shared by every noise plan that
+        binds it (see :class:`BranchTable`).
+        """
+        if self._branch_table is None:
+            self._branch_table = BranchTable(self)
+        return self._branch_table
+
     def is_unital(self) -> bool:
         """True when the channel maps identity to identity."""
         dim = 2 ** self.num_qubits
@@ -186,6 +199,92 @@ class QuantumChannel:
             f"QuantumChannel(name={self.name!r}, qubits={self.num_qubits}, "
             f"kraus={len(self.kraus_operators)})"
         )
+
+
+def _frozen(array) -> np.ndarray:
+    array = np.array(array)
+    array.setflags(write=False)
+    return array
+
+
+class BranchTable:
+    """What a trajectory step needs of a channel, computed once.
+
+    Built from the channel's own cached tables, keeping only the
+    branches that can carry weight.  Exactly-zero Kraus operators are
+    dropped (``thermal_relaxation`` has one, the composed fake-backend
+    1q gate error has four), and so are zero-probability mixed-unitary
+    branches: a draw above the rounded cumulative total could select
+    one and zero the trajectory.  Every array is frozen, so the
+    kernels' identity memo keys on it.
+
+    * ``kind`` — ``"mixed"`` (every operator is ``sqrt(p) x unitary``:
+      state-independent ``cumulative`` table and the pre-scaled
+      branches ``scaled_ops``, one ``(branches, d, d)`` array) or
+      ``"kraus"`` (branch weights ``Tr(G rho)`` from the Gram matrices
+      ``grams``);
+    * ``identity_flags`` — per operator, proportional to identity;
+    * ``stack`` — the operators as one ``(branches, d, d)`` array,
+      ``operators`` the same as a tuple.
+
+    One-qubit general-Kraus channels also carry the dominant-branch
+    kernel's tables: ``gram_diag`` (``(2, branches)`` real Gram
+    diagonals), ``gram_cross`` (the ``G[0, 1]`` entries, ``None`` when
+    every Gram matrix is diagonal), ``dominant`` (the branch of largest
+    mean weight ``Tr(G) / 2``) and ``dominant_diag`` (its diagonal, or
+    ``None`` when the operator is not diagonal).
+    """
+
+    __slots__ = (
+        "kind",
+        "operators",
+        "stack",
+        "cumulative",
+        "scaled_ops",
+        "grams",
+        "identity_flags",
+        "gram_diag",
+        "gram_cross",
+        "dominant",
+        "dominant_diag",
+    )
+
+    def __init__(self, channel: "QuantumChannel") -> None:
+        probs = channel.mixed_unitary_probs
+        kept = [
+            i
+            for i, op in enumerate(channel.kraus_operators)
+            if op.any() and (probs is None or probs[i] > 0)
+        ]
+
+        def frozen(values) -> np.ndarray:
+            # one frozen array per table; per-operator tuples are views
+            return _frozen([values[i] for i in kept])
+
+        self.stack = frozen(channel.kraus_operators)
+        self.operators = tuple(self.stack)
+        self.identity_flags = frozen(channel.scalar_identity_flags)
+        self.gram_diag = self.gram_cross = None
+        self.dominant = self.dominant_diag = None
+        if probs is not None:
+            self.kind = "mixed"
+            self.cumulative = frozen(channel.mixed_unitary_cumulative)
+            self.scaled_ops = frozen(channel.mixed_unitary_scaled)
+            self.grams = None
+            return
+        self.kind = "kraus"
+        self.cumulative = self.scaled_ops = None
+        grams = frozen(channel.kraus_grams)
+        self.grams = tuple(grams)
+        if self.stack.shape[1] != 2:
+            return
+        self.gram_diag = _frozen([grams[:, 0, 0].real, grams[:, 1, 1].real])
+        cross = grams[:, 0, 1]
+        self.gram_cross = _frozen(cross) if cross.any() else None
+        self.dominant = int(np.argmax(self.gram_diag.sum(axis=0)))
+        top = self.stack[self.dominant]
+        if not (top[0, 1] or top[1, 0]):
+            self.dominant_diag = _frozen(np.diag(top))
 
 
 def tensor_channel(

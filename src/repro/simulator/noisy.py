@@ -10,12 +10,25 @@ trajectories, evolving the shots in chunks of ``W`` as one
   gates are four elementwise axpy passes over the two sub-lattices —
   none of which pays the transpose-copy sandwich of the GEMM route;
 * mixed-unitary channels draw all branch indices of a chunk with one
-  ``searchsorted`` against the precomputed cumulative table, then apply
-  each distinct branch matrix to its grouped sub-batch (no-op branches
-  skipped via the channel's identity flags);
-* general Kraus channels evaluate every branch norm on the whole chunk
-  via the cached Gram matrices and one reduced-density pass, sample,
-  then apply each chosen branch with the precomputed renormalisation;
+  ``searchsorted`` against the precomputed cumulative table, gather the
+  shots on non-identity branches by index and apply each shot's
+  pre-scaled branch matrix in one stacked matmul;
+* one-qubit general-Kraus channels (every fake-backend gate error and
+  thermal relaxation step) run the dominant-branch kernel.  Branch
+  norms come from each shot's |0>/|1> sub-lattice weights and the Gram
+  diagonals; the overlap term is computed only when a Gram matrix is
+  not diagonal.  Shots that take the dominant branch (largest mean
+  weight) are rescaled in place, one per-shot coefficient pair when
+  that operator is diagonal; the few jump shots are gathered by index
+  and get a per-shot ``2 x 2`` ``mul1`` multiply-add.  A non-diagonal
+  dominant operator takes the per-shot multiply-add on every shot;
+* multi-qubit general-Kraus channels evaluate every branch norm via
+  the cached Gram matrices and one reduced-density pass, then apply
+  each sampled branch to its masked sub-batch;
+* both general-Kraus paths sample with one cumulative rule
+  (:func:`_sample_branches`); exactly-zero Kraus operators are dropped
+  at bind time, and a draw above the rounded cumulative total takes
+  the last branch with positive weight, so no trajectory is zeroed;
 * measurements collapse the chunk with vectorised probability gathers;
   terminal measurement is one joint sample of the final distribution
   (deferred-measurement equivalence: nothing touches a terminally
@@ -30,11 +43,13 @@ anchor, measurement and readout entry) and pre-draws that site's full
 draws are therefore exactly independent of the chunk size.  Span op
 routes are chosen by matrix structure, never by batch size, and all of
 them are elementwise or slice-wise — so span arithmetic is bit-exact
-across chunk widths too.  The only size-dependent arithmetic left is
-the kernel route inside channel-branch applications: above the GEMM
-crossover the BLAS blocking is equal only to ~1 ulp, so a count can
-differ across chunk sizes iff a *later* draw lands within ~1e-16 of a
-branch boundary.  Below that crossover ``chunk_size=1`` and
+across chunk widths too.  So are the mixed-unitary step and the
+one-qubit Kraus kernel: each shot's product and weights are computed
+on their own.  The only size-dependent arithmetic left is the kernel
+route inside multi-qubit general-Kraus branch applications: above the
+GEMM crossover the BLAS blocking is equal only to ~1 ulp, so a count
+can differ across chunk sizes iff a *later* draw lands within ~1e-16
+of a branch boundary.  Below that crossover ``chunk_size=1`` and
 ``chunk_size=64`` are bit-identical.
 """
 
@@ -216,39 +231,30 @@ def _apply_channel_chunk(
     """One stochastic channel on a whole chunk."""
     qubits = binding.qubits
     if binding.kind == "mixed":
-        last = binding.num_branches - 1
-        branches = np.minimum(
-            np.searchsorted(binding.cumulative, uniforms, side="right"),
-            last,
+        branches = np.searchsorted(
+            binding.cumulative, uniforms, side="right"
         )
-        for index in np.unique(branches):
-            op = binding.scaled_ops[index]
-            if op is None or binding.identity_flags[index]:
-                continue
-            mask = branches == index
-            if mask.all():
-                batch = apply_matrix_batch(batch, op, qubits)
-            else:
-                batch[mask] = apply_matrix_batch(batch[mask], op, qubits)
+        np.minimum(branches, binding.num_branches - 1, out=branches)
+        # only shots on a non-identity branch move; gather them by index
+        moving = np.flatnonzero(~binding.identity_flags[branches])
+        if moving.size == 0:
+            return batch
+        matrices = binding.scaled_ops[branches[moving]]
+        batch[moving] = _apply_per_shot(batch[moving], matrices, qubits)
         return batch
-    # general Kraus: ||K psi||^2 = Tr(gram rho) for every branch in one
-    # reduced-density pass, then categorical sampling per shot
+    if len(qubits) == 1:
+        return _apply_kraus1(batch, binding.table, qubits[0], uniforms)
+    # multi-qubit general Kraus: ||K psi||^2 = Tr(gram rho) for every
+    # branch in one reduced-density pass, then one masked application
+    # per sampled branch
     from .batched import _reduced_density_batch
 
-    shots = batch.shape[0]
     rho = _reduced_density_batch(batch, qubits)
-    norms = np.empty((binding.num_branches, shots))
+    norms = np.empty((binding.num_branches, batch.shape[0]))
     for i, gram in enumerate(binding.grams):
         norms[i] = np.einsum("ij,sji->s", gram, rho).real
-    norms = np.maximum(norms, 0.0)
-    totals = np.maximum(norms.sum(axis=0), 1e-300)
-    cumulative = np.cumsum(norms / totals, axis=0)
-    branches = (uniforms[None, :] > cumulative).sum(axis=0)
-    branches = np.minimum(branches, binding.num_branches - 1)
-    chosen = np.sqrt(
-        np.maximum(norms[branches, np.arange(shots)], 1e-300)
-    )
-    scale = (1.0 / chosen).reshape((-1,) + (1,) * (batch.ndim - 1))
+    branches, scale = _sample_branches(norms, uniforms)
+    scale = scale.reshape((-1,) + (1,) * (batch.ndim - 1))
     unique_branches = np.unique(branches)
     if len(unique_branches) == 1:
         index = int(unique_branches[0])
@@ -265,6 +271,134 @@ def _apply_channel_chunk(
             batch[mask], binding.operators[index], qubits
         )
     out *= scale
+    return out
+
+
+def _apply_per_shot(
+    sub: np.ndarray, matrices: np.ndarray, qubits
+) -> np.ndarray:
+    """Apply one ``2^k x 2^k`` matrix per shot to *qubits* of *sub*.
+
+    One stacked matmul over all shots, whatever branch each took; each
+    shot's product is computed on its own, so the result does not
+    depend on how many shots are gathered.
+    """
+    k = len(qubits)
+    axes = [q + 1 for q in qubits]
+    moved = np.moveaxis(sub, axes, range(1, k + 1))
+    flat = moved.reshape(len(sub), 1 << k, -1)
+    out = np.matmul(matrices.astype(sub.dtype), flat)
+    return np.moveaxis(out.reshape(moved.shape), range(1, k + 1), axes)
+
+
+def _sample_branches(norms: np.ndarray, uniforms: np.ndarray):
+    """Per-shot branch indices and ``1 / sqrt(norm)`` renormalisers.
+
+    *norms* is ``(branches, shots)``.  Shot ``s`` takes the first branch
+    whose cumulative normalised weight reaches its uniform.  A uniform
+    above the rounded total takes the last branch with positive weight,
+    never a zero-weight one, which would zero the trajectory.
+    """
+    norms = np.maximum(norms, 0.0)
+    totals = np.maximum(norms.sum(axis=0), 1e-300)
+    cumulative = np.cumsum(norms / totals, axis=0)
+    branches = (uniforms[None, :] > cumulative).sum(axis=0)
+    last = len(norms) - 1
+    over = np.flatnonzero(branches > last)
+    if over.size:
+        positive = norms[::-1, over] > 0
+        branches[over] = last - positive.argmax(axis=0)
+    chosen = norms[branches, np.arange(len(uniforms))]
+    return branches, 1.0 / np.sqrt(np.maximum(chosen, 1e-300))
+
+
+def _apply_kraus1(
+    batch: np.ndarray, table, qubit: int, uniforms: np.ndarray
+) -> np.ndarray:
+    """A one-qubit general-Kraus channel: the dominant-branch kernel.
+
+    Branch weights come from the per-shot squared norms of the qubit's
+    |0> and |1> sub-lattices (plus their overlap when a Gram matrix is
+    not diagonal).  Most shots take the dominant branch; with a
+    diagonal dominant operator they are rescaled in place by one
+    per-shot coefficient pair.  The few jump shots are gathered by
+    index and get their own per-shot ``2 x 2`` multiply-add.  A
+    non-diagonal dominant operator takes the multiply-add on every shot.
+    """
+    shots = batch.shape[0]
+    left = 1 << qubit
+    right = batch.size // (shots * left * 2)
+    view = batch.reshape(shots, left, 2, right)
+    weights = _sublattice_weights(batch, left, right)
+    norms = (
+        table.gram_diag[0][:, None] * weights[0]
+        + table.gram_diag[1][:, None] * weights[1]
+    )
+    if table.gram_cross is not None:
+        overlap = np.einsum(
+            "slr,slr->s", view[:, :, 0, :], view[:, :, 1, :].conj()
+        )
+        norms += 2.0 * (table.gram_cross[:, None] * overlap.conj()).real
+    branches, scale = _sample_branches(norms, uniforms)
+    if table.dominant_diag is None:
+        coeffs = table.stack[branches] * scale[:, None, None]
+        return _mul1_per_shot(view, coeffs).reshape(batch.shape)
+    jumps = np.flatnonzero(branches != table.dominant)
+    if jumps.size:
+        coeffs = table.stack[branches[jumps]] * scale[jumps, None, None]
+        jumped = _mul1_per_shot(view[jumps], coeffs)
+    coeffs = (table.dominant_diag[None, :] * scale[:, None]).astype(
+        batch.dtype
+    )
+    if right >= left:
+        view *= coeffs[:, None, :, None]
+    else:  # long loops over the left axis instead of the short right
+        view[:, :, 0, :] *= coeffs[:, 0, None, None]
+        view[:, :, 1, :] *= coeffs[:, 1, None, None]
+    if jumps.size:
+        view[jumps] = jumped
+    return batch
+
+
+def _sublattice_weights(
+    batch: np.ndarray, left: int, right: int
+) -> np.ndarray:
+    """``(2, shots)`` squared norms of a qubit's |0> and |1> halves.
+
+    *batch* viewed as ``(shots, left, 2, right)`` puts the qubit on
+    axis 2.  Both routes reduce each shot on its own, in an order
+    fixed by the layout alone, so the weights do not depend on the
+    chunk width.
+    """
+    shots = batch.shape[0]
+    real = batch.view(batch.real.dtype)
+    if right >= left:
+        halves = real.reshape(shots, left, 2, 2 * right)
+        return np.stack(
+            [
+                np.einsum("slr,slr->s", halves[:, :, h], halves[:, :, h])
+                for h in (0, 1)
+            ]
+        )
+    rows = real.reshape(shots, left, 4 * right)
+    partial = np.einsum("slk,slk->sk", rows, rows)
+    return partial.reshape(shots, 2, 2 * right).sum(axis=2).T
+
+
+def _mul1_per_shot(view: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """The ``mul1`` span op with one ``2 x 2`` matrix per shot.
+
+    *view* is ``(shots, left, 2, right)`` with the qubit on axis 2;
+    *coeffs* is ``(shots, 2, 2)``.  Returns a new array.
+    """
+    coeffs = coeffs.astype(view.dtype)[:, :, :, None, None]
+    v0 = view[:, :, 0, :]
+    v1 = view[:, :, 1, :]
+    out = np.empty(view.shape, dtype=view.dtype)
+    for row in (0, 1):
+        target = out[:, :, row, :]
+        np.multiply(v0, coeffs[:, row, 0], out=target)
+        target += coeffs[:, row, 1] * v1
     return out
 
 

@@ -9,6 +9,9 @@ The contract under test (see ``repro/simulator/noisy.py``):
   channel family (mixed-unitary, general Kraus, mid-circuit measures);
 * counts are independent of the chunk size for a fixed seed —
   ``chunk_size=1`` and ``chunk_size=64`` are bit-identical;
+* the one-qubit general-Kraus kernel agrees with legacy on the
+  fake-backend model, on a dense dominant operator (the fallback) and
+  never samples a zero Kraus operator;
 * knobs validate and route: the batched engine refuses the legacy
   ensemble, ``run()`` reroutes ``legacy`` to the trajectory engine,
   and the per-mode counters record which implementation ran.
@@ -18,18 +21,22 @@ import numpy as np
 import pytest
 
 from repro.circuits import QuantumCircuit
-from repro.execution import run
+from repro.execution import ChannelBinding, run
 from repro.metrics import tvd_counts
 from repro.noise import (
     NoiseModel,
+    QuantumChannel,
     ReadoutError,
     amplitude_damping,
     bit_flip,
     depolarizing,
     fake_valencia,
+    tensor_channel,
     thermal_relaxation,
 )
 from repro.simulator.noisy import (
+    _apply_channel_chunk,
+    _sample_branches,
     default_chunk_size,
     reset_trajectory_mode_counts,
     trajectory_mode_counts,
@@ -80,6 +87,32 @@ def _mid_model():
     model.add_all_qubit_quantum_error(bit_flip(0.1), ["x", "h"])
     model.add_readout_error(ReadoutError(0.05, 0.05), 0)
     return model
+
+
+def _valencia_circuit():
+    qc = QuantumCircuit(3, 3)
+    qc.h(0).cx(0, 1).x(2).cx(1, 2).h(1)
+    for q in range(3):
+        qc.measure(q, q)
+    return qc
+
+
+def _rotated_amplitude_damping(gamma):
+    """Amplitude damping towards |+>: the dominant operator is dense."""
+    hadamard = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+    return QuantumChannel(
+        [
+            hadamard @ op @ hadamard
+            for op in amplitude_damping(gamma).kraus_operators
+        ],
+        name="rotated_amplitude_damping",
+    )
+
+
+def _random_qubit_states(shots, seed):
+    rng = np.random.default_rng(seed)
+    states = rng.normal(size=(shots, 2)) + 1j * rng.normal(size=(shots, 2))
+    return states / np.linalg.norm(states, axis=1, keepdims=True)
 
 
 class TestLegacyBitIdentity:
@@ -244,3 +277,98 @@ class TestKnobsAndRouting:
             chunk_size=13,
         )
         assert chunked == base
+
+
+class TestGeneralKrausKernel:
+    """The dominant-branch kernel for one-qubit general-Kraus channels."""
+
+    def test_fake_backend_chunk_sizes_are_bit_identical(self):
+        model = fake_valencia().noise_model()
+        counts = [
+            dict(
+                TrajectorySimulator(
+                    model, 31, trajectories="batched", chunk_size=chunk
+                ).run(_valencia_circuit(), 500)
+            )
+            for chunk in (1, 64)
+        ]
+        assert counts[0] == counts[1]
+
+    def test_fake_backend_matches_legacy(self):
+        model = fake_valencia().noise_model()
+        shots = 8000
+        legacy = TrajectorySimulator(
+            model, 11, trajectories="legacy"
+        ).run(_valencia_circuit(), shots)
+        batched = TrajectorySimulator(
+            model, 22, trajectories="batched"
+        ).run(_valencia_circuit(), shots)
+        assert tvd_counts(legacy, batched) < 0.035
+
+    def test_non_diagonal_dominant_operator_falls_back(self):
+        channel = _rotated_amplitude_damping(0.15)
+        assert channel.branch_table.dominant_diag is None
+        model = NoiseModel()
+        model.add_all_qubit_quantum_error(channel, ["h", "x", "rz"])
+        shots = 8000
+        legacy = TrajectorySimulator(
+            model, 11, trajectories="legacy"
+        ).run(_circuit(), shots)
+        batched = TrajectorySimulator(
+            model, 22, trajectories="batched"
+        ).run(_circuit(), shots)
+        assert tvd_counts(legacy, batched) < 0.035
+
+    def test_two_qubit_general_kraus_channel_runs(self):
+        channel = tensor_channel(
+            amplitude_damping(0.1), thermal_relaxation(50.0, 70.0, 5.0)
+        )
+        assert channel.branch_table.kind == "kraus"
+        model = NoiseModel()
+        model.add_all_qubit_quantum_error(channel, ["cx"])
+        shots = 8000
+        legacy = TrajectorySimulator(
+            model, 11, trajectories="legacy"
+        ).run(_circuit(), shots)
+        batched = TrajectorySimulator(
+            model, 22, trajectories="batched"
+        ).run(_circuit(), shots)
+        assert sum(batched.values()) == shots
+        assert tvd_counts(legacy, batched) < 0.035
+
+    def test_zero_kraus_operators_are_dropped(self):
+        relax = thermal_relaxation(50.0, 70.0, 2.0)
+        assert len(relax.kraus_operators) == 4
+        assert len(relax.branch_table.operators) == 3
+        gate_error = fake_valencia().noise_model().errors_for(
+            QuantumCircuit(1).h(0).instructions[0]
+        )[0].channel
+        assert len(gate_error.kraus_operators) == 16
+        assert len(gate_error.branch_table.operators) == 12
+
+    @pytest.mark.parametrize(
+        "channel",
+        [
+            thermal_relaxation(50.0, 70.0, 2.0),
+            depolarizing(0.01).compose(thermal_relaxation(80.0, 60.0, 0.5)),
+        ],
+        ids=["thermal-relaxation", "composed-gate-error"],
+    )
+    def test_top_uniform_never_zeroes_a_trajectory(self, channel):
+        # a uniform just below 1 exceeds the rounded cumulative total on
+        # some states; it must not select a zero Kraus operator
+        binding = ChannelBinding(channel, (0,))
+        states = _random_qubit_states(2000, 5)
+        uniforms = np.full(len(states), np.nextafter(1.0, 0.0))
+        out = _apply_channel_chunk(states.copy(), binding, uniforms)
+        np.testing.assert_allclose(
+            np.linalg.norm(out, axis=1), 1.0, atol=1e-12
+        )
+
+    def test_top_uniform_takes_last_positive_branch(self):
+        norms = np.array([[0.07], [0.08], [0.0]])
+        uniforms = np.array([np.nextafter(1.0, 0.0)])
+        assert np.cumsum(norms / norms.sum())[-1] < uniforms[0]
+        branches, scale = _sample_branches(norms, uniforms)
+        assert branches.tolist() == [1]
+        np.testing.assert_allclose(scale, [1.0 / np.sqrt(0.08)])
