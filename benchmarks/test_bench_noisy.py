@@ -33,6 +33,7 @@ from repro.noise import (
     valencia_like_backend,
 )
 from repro.revlib import load_benchmark
+from repro.simulator.trajectory import TrajectorySimulator
 from repro.transpiler import transpile
 
 _SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
@@ -108,12 +109,9 @@ def test_bench_noisy_legacy(benchmark):
     circuit, model = _workload(), _model()
 
     counts = benchmark(
-        run,
-        circuit,
-        _LEGACY_SHOTS,
-        noise_model=model,
-        seed=1,
-        trajectories="legacy",
+        lambda: TrajectorySimulator(model, 1, trajectories="legacy").run(
+            circuit, _LEGACY_SHOTS
+        )
     )
     assert counts.shots == _LEGACY_SHOTS
 
@@ -134,12 +132,8 @@ def test_batched_speedup_and_no_retrace():
     assert stats.hits > hits_before
 
     start = time.perf_counter()
-    run(
-        circuit,
-        _LEGACY_SHOTS,
-        noise_model=model,
-        seed=1,
-        trajectories="legacy",
+    TrajectorySimulator(model, 1, trajectories="legacy").run(
+        circuit, _LEGACY_SHOTS
     )
     legacy = (time.perf_counter() - start) * (_SHOTS / _LEGACY_SHOTS)
 

@@ -260,33 +260,27 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             method=method,
             seed=args.seed,
             dtype=dtype,
-            plan=False if args.no_plan else None,
             fuse=args.fuse,
-            trajectories=args.trajectories,
-            chunk_size=args.chunk_size,
         )
     except (KeyError, ValueError, TypeError) as exc:
         # unknown engine name / invalid engine request -> clean error
         message = exc.args[0] if exc.args else str(exc)
         print(f"error: {message}", file=sys.stderr)
         return 2
-    if args.trajectories == "legacy" and engine == "batched":
-        engine = "trajectory"  # run() reroutes the legacy ensemble
     print(f"engine: {engine}  shots: {counts.shots}  "
           f"noise: {'valencia-like' if noise_model else 'none'}")
     for bitstring, count in counts.top(args.top):
         print(f"  {bitstring}  {count:>6}  ({count / counts.shots:.3f})")
-    if not args.no_plan:
-        from .execution import get_noise_plan_cache, get_plan_cache
+    from .execution import get_noise_plan_cache, get_plan_cache
 
-        stats = get_plan_cache().stats()
-        print(f"plan cache: {stats.size}/{stats.maxsize} entries, "
-              f"{stats.hits} hit(s), {stats.misses} miss(es)")
-        if noise_model is not None:
-            noise_stats = get_noise_plan_cache().stats()
-            print(f"noise-plan cache: {noise_stats.size}/"
-                  f"{noise_stats.maxsize} entries, {noise_stats.hits} "
-                  f"hit(s), {noise_stats.misses} miss(es)")
+    stats = get_plan_cache().stats()
+    print(f"plan cache: {stats.size}/{stats.maxsize} entries, "
+          f"{stats.hits} hit(s), {stats.misses} miss(es)")
+    if noise_model is not None:
+        noise_stats = get_noise_plan_cache().stats()
+        print(f"noise-plan cache: {noise_stats.size}/"
+              f"{noise_stats.maxsize} entries, {noise_stats.hits} "
+              f"hit(s), {noise_stats.misses} miss(es)")
     return 0
 
 
@@ -470,8 +464,6 @@ def _submit_build_simulate(args: argparse.Namespace) -> tuple:
         "noisy": args.noisy,
         "method": args.method,
         "precision": "single" if args.single_precision else None,
-        "trajectories": args.trajectories,
-        "chunk_size": args.chunk_size,
     }
 
 
@@ -606,22 +598,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                           help="outcomes to print")
     simulate.add_argument(
         "--fuse", default=None, choices=["full", "1q", "none"],
-        help="plan fusion level ('none' = per-instruction arithmetic, "
-        "bit-identical to the pre-plan engines)",
-    )
-    simulate.add_argument(
-        "--no-plan", action="store_true",
-        help="bypass the compiled-execution tier entirely",
-    )
-    simulate.add_argument(
-        "--trajectories", default=None, choices=["batched", "legacy"],
-        help="noisy trajectory-ensemble implementation ('legacy' = "
-        "per-shot reference loop, bit-identical to pre-plan output)",
-    )
-    simulate.add_argument(
-        "--chunk-size", type=int, default=None,
-        help="shots per tensor chunk in the batched ensemble "
-        "(counts are chunk-size independent)",
+        help="plan fusion level ('none' = one op per gate, "
+        "per-instruction arithmetic)",
     )
     simulate.set_defaults(func=_cmd_simulate)
 
@@ -777,9 +755,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     sim_job.add_argument("--noisy", action="store_true")
     sim_job.add_argument("--method", default="auto")
     sim_job.add_argument("--single-precision", action="store_true")
-    sim_job.add_argument("--trajectories", default=None,
-                         choices=("batched", "legacy"))
-    sim_job.add_argument("--chunk-size", type=int, default=None)
     sim_job.set_defaults(func=_cmd_submit, build=_submit_build_simulate)
 
     protect_job = actions.add_parser(

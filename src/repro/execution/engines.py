@@ -2,8 +2,9 @@
 
 Each adapter is a thin stateless wrapper: capability checks live in
 ``supports`` and construction details (seeding, dtype) in ``run``.  The
-heavy lifting stays in :mod:`repro.simulator`, which all four engines
-share through :mod:`repro.simulator.kernels`.
+heavy lifting stays in :mod:`repro.simulator`.  Every engine runs
+through the compiled-plan tier (:mod:`repro.execution.plan`); the only
+execution knob an adapter takes is the fusion level *fuse*.
 """
 
 from __future__ import annotations
@@ -78,14 +79,8 @@ class StatevectorEngine:
         noise_model: Optional[NoiseModel] = None,
         seed: Seed = None,
         dtype=None,
-        plan: bool = True,
         fuse: str = "full",
-        trajectories: Optional[str] = None,
-        chunk_size: Optional[int] = None,
     ) -> Counts:
-        # trajectories/chunk_size are accepted (callers thread the
-        # knobs through every engine) but inert: one evolution + one
-        # sampling, no trajectory ensemble
         _require_full_precision(self.name, dtype)
         if _is_noisy(noise_model):
             raise ValueError(
@@ -97,15 +92,13 @@ class StatevectorEngine:
                 "statevector engine needs terminal measurements; use "
                 "the 'trajectory' engine for mid-circuit measurement"
             )
-        return TrajectorySimulator(None, seed, plan=plan, fuse=fuse).run(
-            circuit, shots
-        )
+        return TrajectorySimulator(None, seed, fuse=fuse).run(circuit, shots)
 
 
 @register_engine
 class TrajectoryEngine:
-    """Per-shot quantum trajectories; the only mid-circuit-measurement
-    engine, and the reference implementation for the batched sampler."""
+    """Noisy shot ensembles with per-shot collapse; the only
+    mid-circuit-measurement engine."""
 
     name = "trajectory"
 
@@ -124,25 +117,17 @@ class TrajectoryEngine:
         noise_model: Optional[NoiseModel] = None,
         seed: Seed = None,
         dtype=None,
-        plan: bool = True,
         fuse: str = "full",
-        trajectories: str = "batched",
-        chunk_size: Optional[int] = None,
     ) -> Counts:
         _require_full_precision(self.name, dtype)
-        return TrajectorySimulator(
-            noise_model,
-            seed,
-            plan=plan,
-            fuse=fuse,
-            trajectories=trajectories,
-            chunk_size=chunk_size,
-        ).run(circuit, shots)
+        return TrajectorySimulator(noise_model, seed, fuse=fuse).run(
+            circuit, shots
+        )
 
 
 @register_engine
 class BatchedEngine:
-    """All trajectories in one ``(shots, 2, ..., 2)`` tensor.
+    """Every shot in one ``(shots, 2, ..., 2)`` tensor.
 
     The workhorse for noisy terminal-measurement circuits (the Table I
     / Figure 4 suites).  The only engine with a precision knob:
@@ -166,16 +151,8 @@ class BatchedEngine:
         noise_model: Optional[NoiseModel] = None,
         seed: Seed = None,
         dtype=None,
-        plan: bool = True,
         fuse: str = "full",
-        trajectories: str = "batched",
-        chunk_size: Optional[int] = None,
     ) -> Counts:
-        if trajectories == "legacy":
-            raise ValueError(
-                "the batched engine has no legacy per-shot path; use "
-                "method='trajectory' with trajectories='legacy'"
-            )
         if wants_reduced_precision(dtype) and not measures_are_terminal(
             circuit
         ):
@@ -189,9 +166,7 @@ class BatchedEngine:
             noise_model,
             seed,
             dtype=np.complex64 if dtype is None else np.dtype(dtype),
-            plan=plan,
             fuse=fuse,
-            chunk_size=chunk_size,
         )
         return sim.run(circuit, shots)
 
@@ -222,14 +197,9 @@ class DensityEngine:
         noise_model: Optional[NoiseModel] = None,
         seed: Seed = None,
         dtype=None,
-        plan: bool = True,
         fuse: str = "full",
-        trajectories: Optional[str] = None,
-        chunk_size: Optional[int] = None,
     ) -> Counts:
-        # trajectories/chunk_size are inert: exact evolution has no
-        # trajectory ensemble
         _require_full_precision(self.name, dtype)
-        return DensityMatrixSimulator(noise_model, plan=plan, fuse=fuse).run(
+        return DensityMatrixSimulator(noise_model, fuse=fuse).run(
             circuit, shots, seed=seed
         )

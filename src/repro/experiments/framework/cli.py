@@ -95,16 +95,6 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
         help="recompile every cell instead of reusing compiled circuits",
     )
     parser.add_argument(
-        "--trajectories", choices=("batched", "legacy"), default=None,
-        help="noisy trajectory-ensemble implementation (default: the "
-        "chunked batched executor)",
-    )
-    parser.add_argument(
-        "--chunk-size", type=int, default=None,
-        help="shots per tensor chunk in the batched ensemble "
-        "(results are chunk-size independent)",
-    )
-    parser.add_argument(
         "--shard", default=None, metavar="I/N",
         help="run only cells with index %% N == I (for multi-machine runs)",
     )
@@ -145,8 +135,6 @@ def _cmd_run(args: argparse.Namespace, resume: bool = False) -> int:
         jobs=args.jobs,
         split_jobs=args.split_jobs,
         transpile_cache=not args.no_transpile_cache,
-        trajectories=args.trajectories,
-        chunk_size=args.chunk_size,
         shard=parse_shard(args.shard),
         resume=resume,
         store=store,

@@ -93,8 +93,6 @@ def run_experiment(
     jobs: int = 1,
     split_jobs: int = 1,
     transpile_cache: bool = True,
-    trajectories: Optional[str] = None,
-    chunk_size: Optional[int] = None,
     shard: Optional[Tuple[int, int]] = None,
     resume: bool = False,
     store: Optional[ResultStore] = None,
@@ -113,10 +111,7 @@ def run_experiment(
     config = spec.config(overrides)
     cfg_hash = config_hash(config)
     options = ExecOptions(
-        split_jobs=split_jobs,
-        transpile_cache=transpile_cache,
-        trajectories=trajectories,
-        chunk_size=chunk_size,
+        split_jobs=split_jobs, transpile_cache=transpile_cache
     )
 
     cells = spec.make_cells(config)

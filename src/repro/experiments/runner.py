@@ -94,8 +94,6 @@ def _evaluate_record(
     seed: np.random.SeedSequence,
     split_jobs: int = 1,
     transpile_cache: bool = True,
-    trajectories=None,
-    chunk_size=None,
 ) -> EvaluationResult:
     """One pipeline iteration — a pure function of its arguments.
 
@@ -107,8 +105,6 @@ def _evaluate_record(
         seed=np.random.default_rng(seed),
         split_jobs=split_jobs,
         use_transpile_cache=transpile_cache,
-        trajectories=trajectories,
-        chunk_size=chunk_size,
     )
     return pipeline.evaluate(
         record.circuit(),
@@ -126,8 +122,6 @@ def run_suite(
     jobs: int = 1,
     split_jobs: int = 1,
     transpile_cache: bool = True,
-    trajectories: Optional[str] = None,
-    chunk_size: Optional[int] = None,
 ) -> Dict[str, AggregateResult]:
     """Run the pipeline over a benchmark suite (defaults to Table I).
 
@@ -141,10 +135,6 @@ def run_suite(
     per-process transpile cache that lets repeated iterations over the
     same benchmark skip recompilation.  Neither affects any result —
     compilation is deterministic and RNG-free.
-
-    *trajectories*/*chunk_size* steer the noisy trajectory ensemble
-    (see :func:`repro.execution.run`): ``"legacy"`` runs the per-shot
-    reference loop, *chunk_size* caps the batched executor's chunk.
     """
     if iterations <= 0:
         raise ValueError("iterations must be positive")
@@ -162,14 +152,7 @@ def run_suite(
     if jobs == 1 or len(task_records) <= 1:
         evaluations = [
             _evaluate_record(
-                r,
-                shots,
-                gate_limit,
-                s,
-                split_jobs,
-                transpile_cache,
-                trajectories,
-                chunk_size,
+                r, shots, gate_limit, s, split_jobs, transpile_cache
             )
             for r, s in zip(task_records, children)
         ]
@@ -187,8 +170,6 @@ def run_suite(
                     children,
                     repeat(split_jobs),
                     repeat(transpile_cache),
-                    repeat(trajectories),
-                    repeat(chunk_size),
                 )
             )
     results: Dict[str, AggregateResult] = {}
@@ -209,8 +190,6 @@ def run_benchmark(
     jobs: int = 1,
     split_jobs: int = 1,
     transpile_cache: bool = True,
-    trajectories: Optional[str] = None,
-    chunk_size: Optional[int] = None,
 ) -> AggregateResult:
     """Run the full pipeline *iterations* times on one benchmark."""
     return run_suite(
@@ -222,6 +201,4 @@ def run_benchmark(
         jobs=jobs,
         split_jobs=split_jobs,
         transpile_cache=transpile_cache,
-        trajectories=trajectories,
-        chunk_size=chunk_size,
     )[record.name]

@@ -101,12 +101,6 @@ def handle_simulate(params: Dict[str, Any]) -> Dict[str, Any]:
         if method == "auto"
         else method
     )
-    trajectories = params.get("trajectories")
-    if trajectories == "legacy" and engine == "batched":
-        # mirror run()'s auto-dispatch reroute: the legacy per-shot
-        # ensemble lives on the trajectory engine only
-        engine = "trajectory"
-    chunk_size = params.get("chunk_size")
     counts = execute(
         circuit,
         int(params.get("shots", 1000)),
@@ -114,8 +108,6 @@ def handle_simulate(params: Dict[str, Any]) -> Dict[str, Any]:
         method=engine,  # already resolved; skip a second auto-dispatch
         seed=params.get("seed"),
         dtype=dtype,
-        trajectories=trajectories,
-        chunk_size=None if chunk_size is None else int(chunk_size),
     )
     return {
         "counts": counts.to_dict(),
@@ -200,14 +192,11 @@ def handle_evaluate(params: Dict[str, Any]) -> Dict[str, Any]:
     seed = params.get("seed")
     children = np.random.SeedSequence(seed).spawn(iterations)
     results = []
-    chunk_size = params.get("chunk_size")
     for child in children:
         pipeline = TetrisLockPipeline(
             shots=int(params.get("shots", 1000)),
             gate_limit=int(params.get("gate_limit", 4)),
             seed=np.random.default_rng(child),
-            trajectories=params.get("trajectories"),
-            chunk_size=None if chunk_size is None else int(chunk_size),
         )
         evaluation = pipeline.evaluate(
             circuit,

@@ -126,8 +126,6 @@ class SimulateRequest(ServiceRequest):
     noisy: bool = False
     method: str = "auto"
     precision: Optional[str] = None  # None | "single" | "double"
-    trajectories: Optional[str] = None  # None | "batched" | "legacy"
-    chunk_size: Optional[int] = None
     _prepared: Optional[QuantumCircuit] = field(
         default=None, repr=False, compare=False
     )
@@ -142,13 +140,6 @@ class SimulateRequest(ServiceRequest):
                 f"unknown precision {self.precision!r}; "
                 "expected 'single', 'double' or null"
             )
-        if self.trajectories not in (None, "batched", "legacy"):
-            raise ValueError(
-                f"unknown trajectories mode {self.trajectories!r}; "
-                "expected 'batched', 'legacy' or null"
-            )
-        if self.chunk_size is not None and int(self.chunk_size) <= 0:
-            raise ValueError("chunk_size must be positive")
         self._circuit()  # malformed QASM fails at submit, not in a worker
 
     def fingerprint(self) -> Optional[str]:
@@ -162,10 +153,6 @@ class SimulateRequest(ServiceRequest):
                 "noisy": self.noisy,
                 "method": self.method,
                 "precision": self.precision,
-                # chunk_size is deliberately absent: counts are
-                # chunk-size independent, so requests differing only
-                # in chunking share a cache entry
-                "trajectories": self.trajectories,
             }
         )
 
@@ -303,8 +290,6 @@ class EvaluateRequest(ServiceRequest):
     gate_limit: int = 4
     iterations: int = 1
     seed: Optional[int] = None
-    trajectories: Optional[str] = None  # None | "batched" | "legacy"
-    chunk_size: Optional[int] = None
     _prepared: Optional[QuantumCircuit] = field(
         default=None, repr=False, compare=False
     )
@@ -315,13 +300,6 @@ class EvaluateRequest(ServiceRequest):
             raise ValueError("shots must be positive")
         if self.iterations <= 0:
             raise ValueError("iterations must be positive")
-        if self.trajectories not in (None, "batched", "legacy"):
-            raise ValueError(
-                f"unknown trajectories mode {self.trajectories!r}; "
-                "expected 'batched', 'legacy' or null"
-            )
-        if self.chunk_size is not None and int(self.chunk_size) <= 0:
-            raise ValueError("chunk_size must be positive")
 
     def fingerprint(self) -> Optional[str]:
         if self.seed is None:
@@ -333,8 +311,6 @@ class EvaluateRequest(ServiceRequest):
                 "gate_limit": self.gate_limit,
                 "iterations": self.iterations,
                 "seed": self.seed,
-                # chunk_size omitted: counts are chunk-size independent
-                "trajectories": self.trajectories,
             }
         )
 

@@ -56,7 +56,7 @@ of a branch boundary.  Below that crossover ``chunk_size=1`` and
 from __future__ import annotations
 
 import threading
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -247,8 +247,6 @@ def _apply_channel_chunk(
     # multi-qubit general Kraus: ||K psi||^2 = Tr(gram rho) for every
     # branch in one reduced-density pass, then one masked application
     # per sampled branch
-    from .batched import _reduced_density_batch
-
     rho = _reduced_density_batch(batch, qubits)
     norms = np.empty((binding.num_branches, batch.shape[0]))
     for i, gram in enumerate(binding.grams):
@@ -289,6 +287,22 @@ def _apply_per_shot(
     flat = moved.reshape(len(sub), 1 << k, -1)
     out = np.matmul(matrices.astype(sub.dtype), flat)
     return np.moveaxis(out.reshape(moved.shape), range(1, k + 1), axes)
+
+
+def _reduced_density_batch(
+    batch: np.ndarray, qubits: Sequence[int]
+) -> np.ndarray:
+    """Per-shot reduced density matrix on *qubits*: shape (shots, d, d).
+
+    Index ordering matches the gate-matrix convention (first listed
+    qubit most significant).
+    """
+    shots = batch.shape[0]
+    k = len(qubits)
+    target_axes = [q + 1 for q in qubits]
+    moved = np.moveaxis(batch, target_axes, range(1, k + 1))
+    flat = moved.reshape(shots, 2 ** k, -1)
+    return np.einsum("sir,sjr->sij", flat, flat.conj())
 
 
 def _sample_branches(norms: np.ndarray, uniforms: np.ndarray):

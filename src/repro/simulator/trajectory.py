@@ -1,11 +1,18 @@
 """Shot-based simulation with optional noise (quantum trajectories).
 
 For noiseless circuits with only terminal measurements, a single
-statevector evolution plus multinomial sampling is used (fast path,
-identical statistics).  With a :class:`~repro.noise.model.NoiseModel`
-attached, every shot runs its own trajectory: after each gate the bound
-Kraus channels are sampled, measurements collapse the state, and
-readout errors flip the recorded classical bits.
+statevector evolution through the cached execution plan plus
+multinomial sampling is used (identical statistics).  With a
+:class:`~repro.noise.model.NoiseModel` attached, the shots run as an
+ensemble of trajectories through the noise-bound plan executor
+(:mod:`repro.simulator.noisy`): bound Kraus channels are sampled after
+each gate, measurements collapse the state, and readout errors flip
+the recorded classical bits.
+
+``trajectories="legacy"`` keeps the original per-shot Python loop, one
+statevector per shot.  It is the exact-in-distribution reference the
+tests check the batched executor against, not a production path;
+*chunk_size* likewise exists for the chunk-independence tests.
 
 This mirrors how Qiskit Aer's statevector method executes the paper's
 ``FakeValencia`` experiments.
@@ -33,16 +40,13 @@ __all__ = [
 
 # trajectory-ensemble implementations: "batched" evolves all shots in
 # chunked tensors through the noise-bound plan executor
-# (:mod:`repro.simulator.noisy`); "legacy" is the original per-shot
-# Python loop, bit-identical to the pre-plan behaviour at fixed seeds
+# (:mod:`repro.simulator.noisy`); "legacy" is the per-shot reference
+# loop the tests compare it with
 TRAJECTORY_MODES = ("batched", "legacy")
 
 
 def terminal_distribution(
-    circuit: QuantumCircuit,
-    *,
-    plan: bool = True,
-    fuse: str = "full",
+    circuit: QuantumCircuit, *, fuse: str = "full"
 ) -> Tuple[np.ndarray, List[Tuple[int, int]]]:
     """Final-state outcome distribution of a noiseless circuit.
 
@@ -53,31 +57,21 @@ def terminal_distribution(
     is the cheap half, so one evolution can serve many samplings —
     the service layer's request coalescer relies on exactly that split.
 
-    By default the circuit runs through the cached, fused execution
-    plan (see :mod:`repro.execution.plan`); ``fuse="none"`` keeps the
-    plan but stays bit-identical to the legacy loop, ``plan=False``
-    bypasses plans entirely.
+    The circuit runs through the cached, fused execution plan (see
+    :mod:`repro.execution.plan`); ``fuse="none"`` applies one op per
+    gate with the per-instruction kernel's arithmetic.
     """
-    if plan:
-        from ..execution.plan_cache import get_plan
+    from ..execution.plan_cache import get_plan
 
-        compiled = get_plan(circuit, fuse)
-        n = circuit.num_qubits
-        batch = np.zeros((1,) + (2,) * n, dtype=complex)
-        batch[(0,) * (n + 1)] = 1.0
-        tensor = compiled.execute(batch)[0]
-        # same little-endian flatten + |amp|^2 as
-        # ``Statevector.probabilities``
-        vec = tensor.transpose(tuple(reversed(range(n)))).reshape(-1)
-        return (vec.conj() * vec).real.copy(), list(compiled.measured)
-    state = Statevector(circuit.num_qubits)
-    measured: List[Tuple[int, int]] = []
-    for inst in circuit:
-        if inst.is_gate:
-            state.apply_matrix(inst.operation.matrix, inst.qubits)
-        elif inst.is_measure:
-            measured.append((inst.qubits[0], inst.clbits[0]))
-    return state.probabilities(), measured
+    compiled = get_plan(circuit, fuse)
+    n = circuit.num_qubits
+    batch = np.zeros((1,) + (2,) * n, dtype=complex)
+    batch[(0,) * (n + 1)] = 1.0
+    tensor = compiled.execute(batch)[0]
+    # same little-endian flatten + |amp|^2 as
+    # ``Statevector.probabilities``
+    vec = tensor.transpose(tuple(reversed(range(n)))).reshape(-1)
+    return (vec.conj() * vec).real.copy(), list(compiled.measured)
 
 
 def sample_terminal_counts(
@@ -110,19 +104,19 @@ class TrajectorySimulator:
         noise_model: Optional[NoiseModel] = None,
         seed: Optional[Union[int, np.random.Generator]] = None,
         *,
-        plan: bool = True,
         fuse: str = "full",
         trajectories: str = "batched",
         chunk_size: Optional[int] = None,
     ) -> None:
-        """*plan*/*fuse* steer execution through the compiled-plan tier
-        (see :mod:`repro.execution.plan`): the noiseless fast path uses
-        fused noiseless plans, and the default ``trajectories="batched"``
+        """*fuse* sets the plan fusion level (see
+        :mod:`repro.execution.plan`): the noiseless fast path uses fused
+        noiseless plans, and the default ``trajectories="batched"``
         ensemble runs through cached noise-bound plans
         (:mod:`repro.execution.noise_plan`) in chunks of *chunk_size*
-        shots.  ``trajectories="legacy"`` restores the per-shot Python
-        loop — bit-identical to the pre-plan behaviour at fixed seeds —
-        where noise channels and collapses anchor to individual gates.
+        shots (default: whole batch, memory-capped; counts do not
+        depend on it).  ``trajectories="legacy"`` selects the per-shot
+        reference loop, where noise channels and collapses anchor to
+        individual gates.
         """
         if trajectories not in TRAJECTORY_MODES:
             raise ValueError(
@@ -132,7 +126,6 @@ class TrajectorySimulator:
         if chunk_size is not None and int(chunk_size) <= 0:
             raise ValueError("chunk_size must be positive")
         self.noise_model = noise_model
-        self.plan = plan
         self.fuse = fuse
         self.trajectories = trajectories
         self.chunk_size = None if chunk_size is None else int(chunk_size)
@@ -158,9 +151,7 @@ class TrajectorySimulator:
 
     # ------------------------------------------------------------------
     def _run_fast(self, circuit: QuantumCircuit, shots: int) -> Counts:
-        probs, measured = terminal_distribution(
-            circuit, plan=self.plan, fuse=self.fuse
-        )
+        probs, measured = terminal_distribution(circuit, fuse=self.fuse)
         return sample_terminal_counts(
             probs,
             measured,
@@ -199,16 +190,10 @@ class TrajectorySimulator:
         distribution.  Derives one entropy integer from the simulator's
         generator so repeated ``run`` calls stay independent.
         """
-        from ..execution.noise_plan import build_noise_plan
         from ..execution.plan_cache import get_noise_plan
         from .noisy import record_trajectory_mode, run_noise_plan
 
-        if self.plan:
-            noise_plan = get_noise_plan(circuit, self.noise_model, self.fuse)
-        else:
-            noise_plan = build_noise_plan(
-                circuit, self.noise_model, self.fuse
-            )
+        noise_plan = get_noise_plan(circuit, self.noise_model, self.fuse)
         record_trajectory_mode("batched")
         entropy = int(self._rng.integers(0, 2 ** 63))
         return run_noise_plan(
@@ -288,18 +273,22 @@ class TrajectorySimulator:
         draw = self._rng.random()
         cumulative = 0.0
         saved = state.copy()
+        last = len(operators) - 1
+        positive = None  # last branch with positive weight so far
         for index, op in enumerate(operators):
             state.apply_matrix(op, qubits)
             weight = state.norm() ** 2
             cumulative += weight
-            if draw < cumulative or index == len(operators) - 1:
-                norm = state.norm()
-                if norm < 1e-12:
-                    # zero-probability branch forced on the last operator;
-                    # restore and keep the unperturbed state
-                    state._tensor = saved._tensor
-                    return
-                state._tensor = state._tensor / norm
+            if weight > 0:
+                positive = index
+            if draw < cumulative or index == last:
+                if positive is not None and positive != index:
+                    # a draw above the rounded cumulative total fell
+                    # through to a zero-weight last operator: clamp to
+                    # the last branch with positive weight
+                    state._tensor = saved._tensor.copy()
+                    state.apply_matrix(operators[positive], qubits)
+                state._tensor = state._tensor / state.norm()
                 return
             state._tensor = saved._tensor.copy()
 
@@ -326,10 +315,6 @@ def measures_are_terminal(circuit: QuantumCircuit) -> bool:
         elif inst.is_gate and measured.intersection(inst.qubits):
             return False
     return True
-
-
-# backwards-compatible alias (pre-execution-layer name)
-_measures_are_terminal = measures_are_terminal
 
 
 def run_counts(

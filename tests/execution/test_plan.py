@@ -2,8 +2,9 @@
 
 The contract under test (see ``repro/execution/plan.py``):
 
-* ``fuse="none"`` is bit-identical to the legacy per-instruction loops
-  on every engine;
+* ``fuse="none"`` is bit-identical to a test-local per-instruction loop
+  over the public kernels (``apply_matrix_state``, ``apply_matrix_batch``,
+  ``DensityMatrix.apply_matrix``/``apply_channel``) on every engine;
 * ``"1q"``/``"full"`` agree with the unfused result to 1e-12;
 * the plan cache traces a circuit exactly once per fusion level
   (misses == traces), evicts LRU, and is safe to hit from threads;
@@ -32,8 +33,17 @@ from repro.noise.model import NoiseModel
 from repro.revlib import benchmark_circuit
 from repro.simulator import DensityMatrixSimulator, Statevector
 from repro.simulator.batched import BatchedTrajectorySimulator
-from repro.simulator.kernels import matrix_is_identity
-from repro.simulator.trajectory import terminal_distribution
+from repro.simulator.counts import counts_from_outcomes
+from repro.simulator.density import DensityMatrix
+from repro.simulator.kernels import (
+    apply_matrix_batch,
+    apply_matrix_state,
+    matrix_is_identity,
+)
+from repro.simulator.trajectory import (
+    sample_terminal_counts,
+    terminal_distribution,
+)
 from repro.simulator.unitary import circuit_unitary
 
 FUSIONS = ("none", "1q", "full")
@@ -53,6 +63,87 @@ def _mixed_circuit():
     for q in range(4):
         qc.measure(q, q)
     return qc
+
+
+# -- per-instruction references: one kernel call per gate, no plan ------
+
+
+def _measured(qc):
+    return [(i.qubits[0], i.clbits[0]) for i in qc if i.is_measure]
+
+
+def _loop_state(qc):
+    """Statevector tensor with every gate through ``apply_matrix_state``."""
+    tensor = np.zeros((2,) * qc.num_qubits, dtype=complex)
+    tensor[(0,) * qc.num_qubits] = 1.0
+    for inst in qc:
+        if inst.is_gate:
+            tensor = apply_matrix_state(
+                tensor,
+                np.asarray(inst.operation.matrix, dtype=complex),
+                inst.qubits,
+            )
+    return tensor
+
+
+def _loop_probabilities(qc):
+    vec = Statevector(qc.num_qubits, _loop_state(qc)).to_vector()
+    return (vec.conj() * vec).real
+
+
+def _loop_batch(qc, batch):
+    """A ``(shots, 2, ..., 2)`` batch, each gate via ``apply_matrix_batch``."""
+    for inst in qc:
+        if inst.is_gate:
+            batch = apply_matrix_batch(
+                batch, inst.operation.matrix, inst.qubits
+            )
+    return batch
+
+
+def _loop_unitary(qc):
+    n = qc.num_qubits
+    dim = 2 ** n
+    order = (0,) + tuple(range(n, 0, -1))
+    eye = np.eye(dim, dtype=complex).reshape((dim,) + (2,) * n)
+    batch = _loop_batch(qc, np.ascontiguousarray(eye.transpose(order)))
+    return np.ascontiguousarray(batch.transpose(order).reshape(dim, dim).T)
+
+
+def _loop_density(qc, noise_model=None):
+    """Density matrix: ``apply_matrix`` per gate, then its channels."""
+    rho = DensityMatrix(qc.num_qubits)
+    for inst in qc:
+        if not inst.is_gate:
+            continue
+        rho.apply_matrix(inst.operation.matrix, inst.qubits)
+        if noise_model is not None:
+            for bound in noise_model.errors_for(inst):
+                rho.apply_channel(bound.channel, bound.resolve(inst))
+    return rho.to_matrix()
+
+
+def _loop_counts(qc, shots, method, seed):
+    """Noiseless counts of *method* with the evolution done per gate;
+    the sampling step is the engine's own."""
+    n = qc.num_qubits
+    if method in ("statevector", "trajectory"):
+        return sample_terminal_counts(
+            _loop_probabilities(qc), _measured(qc), n, qc.num_clbits,
+            shots, np.random.default_rng(seed),
+        )
+    if method == "batched":
+        sim = BatchedTrajectorySimulator(seed=seed)
+        batch = np.zeros((shots,) + (2,) * n, dtype=sim.dtype)
+        batch[(slice(None),) + (0,) * n] = 1.0
+        outcomes = sim._sample_outcomes(_loop_batch(qc, batch), n)
+        return sim._histogram(outcomes, _measured(qc), qc, n, shots)
+    assert method == "density"
+    probs = np.clip(np.diag(_loop_density(qc)).real, 0.0, None)
+    outcomes = np.random.default_rng(seed).choice(
+        len(probs), size=shots, p=probs / probs.sum()
+    )
+    return counts_from_outcomes(outcomes, n, shots=shots)
 
 
 def _noise():
@@ -122,63 +213,63 @@ class TestFusedAgreement:
     @pytest.mark.parametrize("fusion", FUSIONS)
     def test_statevector_evolve(self, seed, fusion):
         qc = _random(5, 40, seed)
-        legacy = Statevector(5).evolve(qc, plan=False)._tensor
+        reference = _loop_state(qc)
         fused = Statevector(5).evolve(qc, fuse=fusion)._tensor
         if fusion == "none":
-            assert np.array_equal(fused, legacy)
-        np.testing.assert_allclose(fused, legacy, atol=1e-12)
+            assert np.array_equal(fused, reference)
+        np.testing.assert_allclose(fused, reference, atol=1e-12)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("fusion", FUSIONS)
     def test_terminal_distribution(self, seed, fusion):
         qc = _random(4, 30, seed)
-        legacy, measured_legacy = terminal_distribution(qc, plan=False)
+        reference = _loop_probabilities(qc)
         fused, measured = terminal_distribution(qc, fuse=fusion)
-        assert measured == measured_legacy
+        assert measured == _measured(qc)
         if fusion == "none":
-            assert np.array_equal(fused, legacy)
-        np.testing.assert_allclose(fused, legacy, atol=1e-12)
+            assert np.array_equal(fused, reference)
+        np.testing.assert_allclose(fused, reference, atol=1e-12)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("fusion", FUSIONS)
     def test_unitary(self, seed, fusion):
         qc = _random(4, 30, seed)
-        legacy = circuit_unitary(qc, plan=False)
+        reference = _loop_unitary(qc)
         fused = circuit_unitary(qc, fuse=fusion)
         if fusion == "none":
-            assert np.array_equal(fused, legacy)
-        np.testing.assert_allclose(fused, legacy, atol=1e-12)
+            assert np.array_equal(fused, reference)
+        np.testing.assert_allclose(fused, reference, atol=1e-12)
 
     @pytest.mark.parametrize("fusion", FUSIONS)
     def test_density_noiseless(self, fusion):
         qc = _random(4, 30, seed=5)
-        legacy = DensityMatrixSimulator(plan=False).evolve(qc).to_matrix()
+        reference = _loop_density(qc)
         fused = DensityMatrixSimulator(fuse=fusion).evolve(qc).to_matrix()
         if fusion == "none":
-            assert np.array_equal(fused, legacy)
-        np.testing.assert_allclose(fused, legacy, atol=1e-12)
+            assert np.array_equal(fused, reference)
+        np.testing.assert_allclose(fused, reference, atol=1e-12)
 
     @pytest.mark.parametrize("fusion", FUSIONS)
     def test_batched_noiseless_counts(self, fusion):
         qc = _mixed_circuit()
-        legacy = BatchedTrajectorySimulator(seed=9, plan=False).run(qc, 600)
+        reference = _loop_counts(qc, 600, "batched", seed=9)
         fused = BatchedTrajectorySimulator(seed=9, fuse=fusion).run(qc, 600)
-        assert dict(fused) == dict(legacy)
+        assert dict(fused) == dict(reference)
 
     def test_mixed_circuit_all_engines_through_run(self):
         qc = _mixed_circuit()
         for method in ("statevector", "batched", "trajectory", "density"):
-            legacy = run(qc, 500, method=method, seed=13, plan=False)
+            reference = _loop_counts(qc, 500, method, seed=13)
             for fusion in FUSIONS:
                 fused = run(qc, 500, method=method, seed=13, fuse=fusion)
-                assert dict(fused) == dict(legacy), (method, fusion)
+                assert dict(fused) == dict(reference), (method, fusion)
 
     def test_large_batch_gemm_route(self):
         # force the GEMM fast paths (batch.size >= 2^16)
         qc = _random(6, 40, seed=7)
-        sim_a = BatchedTrajectorySimulator(seed=21, plan=False)
-        sim_b = BatchedTrajectorySimulator(seed=21, fuse="none")
-        assert dict(sim_a.run(qc, 2048)) == dict(sim_b.run(qc, 2048))
+        reference = _loop_counts(qc, 2048, "batched", seed=21)
+        sim = BatchedTrajectorySimulator(seed=21, fuse="none")
+        assert dict(sim.run(qc, 2048)) == dict(reference)
 
 
 class TestNoisyAnchoring:
@@ -187,21 +278,20 @@ class TestNoisyAnchoring:
     def test_batched_noisy_bit_identical(self):
         qc = _mixed_circuit()
         model = _noise()
+        unfused = BatchedTrajectorySimulator(model, seed=5, fuse="none").run(
+            qc, 400
+        )
         for fusion in FUSIONS:
             a = BatchedTrajectorySimulator(model, seed=5, fuse=fusion).run(
                 qc, 400
             )
-            b = BatchedTrajectorySimulator(model, seed=5, plan=False).run(
-                qc, 400
-            )
-            assert dict(a) == dict(b)
+            assert dict(a) == dict(unfused)
 
     def test_density_noisy_bit_identical(self):
         qc = _random(3, 25, seed=2)
         model = _noise()
         a = DensityMatrixSimulator(model).evolve(qc).to_matrix()
-        b = DensityMatrixSimulator(model, plan=False).evolve(qc).to_matrix()
-        assert np.array_equal(a, b)
+        assert np.array_equal(a, _loop_density(qc, model))
 
     def test_noise_on_identity_gates_still_fires(self):
         # the model binds a channel to 'i'; the traced stream must keep
@@ -211,8 +301,7 @@ class TestNoisyAnchoring:
         model = NoiseModel("id-noise")
         model.add_all_qubit_quantum_error(depolarizing(0.3), ["id"])
         a = DensityMatrixSimulator(model).evolve(qc).to_matrix()
-        b = DensityMatrixSimulator(model, plan=False).evolve(qc).to_matrix()
-        assert np.array_equal(a, b)
+        assert np.array_equal(a, _loop_density(qc, model))
         assert a[0, 1] != pytest.approx(0.5)  # the noise clearly acted
 
 
@@ -311,9 +400,9 @@ class TestPaperBenchmarks:
     @pytest.mark.parametrize("name", ["4mod5", "4gt11", "rd53"])
     def test_benchmark_counts_identical(self, name):
         qc = benchmark_circuit(name).copy().measure_all()
-        legacy = run(qc, 1000, seed=1234, plan=False)
+        reference = _loop_counts(qc, 1000, "statevector", seed=1234)
         fused = run(qc, 1000, seed=1234)
-        assert dict(fused) == dict(legacy)
+        assert dict(fused) == dict(reference)
 
     def test_expected_output_dominates(self):
         from repro.revlib.benchmarks import load_benchmark

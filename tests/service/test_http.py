@@ -7,6 +7,8 @@ import pytest
 from repro.service import HTTPServiceClient, JobService, ServiceError
 from repro.service.http import make_server
 
+from service_qasm import BELL_QASM
+
 
 @pytest.fixture()
 def http_client():
@@ -90,6 +92,14 @@ class TestErrors:
         with pytest.raises(ServiceError) as err:
             http_client.submit("simulate", {"qasm": "garbage"})
         assert err.value.status == 400
+
+    @pytest.mark.parametrize("knob", ["trajectories", "chunk_size"])
+    def test_ensemble_knob_is_400(self, http_client, knob):
+        value = "legacy" if knob == "trajectories" else 8
+        with pytest.raises(ServiceError) as err:
+            http_client.submit("simulate", {"qasm": BELL_QASM, knob: value})
+        assert err.value.status == 400
+        assert "unknown parameter" in str(err.value)
 
     def test_unknown_job_is_404(self, http_client):
         with pytest.raises(ServiceError) as err:

@@ -24,6 +24,19 @@ class TestWireParsing:
         with pytest.raises(ValueError, match="unknown parameter"):
             request_from_wire("simulate", {"qasm": BELL_QASM, "nope": 1})
 
+    @pytest.mark.parametrize("knob", ["trajectories", "chunk_size"])
+    @pytest.mark.parametrize(
+        "kind,params",
+        [
+            ("simulate", {"qasm": BELL_QASM, "seed": 1}),
+            ("evaluate", {"benchmark": "4gt13", "seed": 1}),
+        ],
+    )
+    def test_ensemble_knobs_rejected(self, kind, params, knob):
+        value = "legacy" if knob == "trajectories" else 8
+        with pytest.raises(ValueError, match="unknown parameter.*" + knob):
+            request_from_wire(kind, {**params, knob: value})
+
     def test_private_field_not_injectable(self):
         with pytest.raises(ValueError, match="unknown parameter"):
             request_from_wire(

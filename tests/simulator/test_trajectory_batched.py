@@ -4,7 +4,8 @@ The contract under test (see ``repro/simulator/noisy.py``):
 
 * ``trajectories="legacy"`` is bit-identical to the pre-plan per-shot
   engine at pinned seeds (the hard-coded dicts below were captured on
-  the pre-refactor implementation);
+  the pre-refactor implementation), and clamps a uniform above the
+  rounded cumulative total like the batched executor does;
 * the batched ensemble is statistically equivalent to legacy for every
   channel family (mixed-unitary, general Kraus, mid-circuit measures);
 * counts are independent of the chunk size for a fixed seed —
@@ -12,9 +13,9 @@ The contract under test (see ``repro/simulator/noisy.py``):
 * the one-qubit general-Kraus kernel agrees with legacy on the
   fake-backend model, on a dense dominant operator (the fallback) and
   never samples a zero Kraus operator;
-* knobs validate and route: the batched engine refuses the legacy
-  ensemble, ``run()`` reroutes ``legacy`` to the trajectory engine,
-  and the per-mode counters record which implementation ran.
+* knobs validate: ``trajectories``/``chunk_size`` live on
+  :class:`TrajectorySimulator` only (``run()`` takes neither), and the
+  per-mode counters record which implementation ran.
 """
 
 import numpy as np
@@ -41,6 +42,7 @@ from repro.simulator.noisy import (
     reset_trajectory_mode_counts,
     trajectory_mode_counts,
 )
+from repro.simulator.statevector import Statevector
 from repro.simulator.trajectory import TrajectorySimulator
 
 
@@ -109,6 +111,16 @@ def _rotated_amplitude_damping(gamma):
     )
 
 
+class _FixedUniform:
+    """Stand-in generator whose every uniform draw is *value*."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def random(self):
+        return self.value
+
+
 def _random_qubit_states(shots, seed):
     rng = np.random.default_rng(seed)
     states = rng.normal(size=(shots, 2)) + 1j * rng.normal(size=(shots, 2))
@@ -156,6 +168,30 @@ class TestLegacyBitIdentity:
         assert dict(sim.run(qc, 200)) == {
             "00": 86, "11": 104, "10": 6, "01": 4,
         }
+
+
+class TestLegacyClamp:
+    def test_top_uniform_takes_last_positive_branch(self):
+        # thermal relaxation's last Kraus operator (PD1 * AD1) is exactly
+        # zero; a uniform above the rounded cumulative total must take
+        # the last branch with positive weight, never leave the state
+        # unperturbed (which is no branch of the channel)
+        channel = thermal_relaxation(50e-6, 70e-6, 1e-6)
+        operators = channel.kraus_operators
+        assert not operators[-1].any()
+        sim = TrajectorySimulator(None, 0, trajectories="legacy")
+        sim._rng = _FixedUniform(np.nextafter(1.0, 0.0))
+        for psi in _random_qubit_states(2000, 5):
+            state = Statevector(1, psi)
+            sim._apply_channel(state, channel, [0])
+            branches = [op @ psi for op in operators]
+            last = max(
+                i for i, b in enumerate(branches) if np.linalg.norm(b) > 0
+            )
+            expected = branches[last] / np.linalg.norm(branches[last])
+            np.testing.assert_allclose(
+                state.to_vector(), expected, atol=1e-12
+            )
 
 
 class TestBatchedEquivalence:
@@ -220,33 +256,23 @@ class TestKnobsAndRouting:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="trajectories"):
             TrajectorySimulator(None, 0, trajectories="vectorised")
-        with pytest.raises(ValueError, match="trajectories"):
-            run(_circuit(), 10, trajectories="vectorised")
 
     def test_bad_chunk_size_rejected(self):
         with pytest.raises(ValueError, match="chunk_size"):
             TrajectorySimulator(None, 0, chunk_size=0)
         with pytest.raises(ValueError, match="chunk_size"):
-            run(_circuit(), 10, chunk_size=-1)
+            TrajectorySimulator(None, 0, chunk_size=-1)
 
-    def test_batched_engine_refuses_legacy(self):
-        with pytest.raises(ValueError, match="legacy"):
-            run(
-                _circuit(),
-                10,
-                noise_model=_mixed_model(),
-                method="batched",
-                trajectories="legacy",
-            )
+    def test_run_takes_no_ensemble_knobs(self):
+        with pytest.raises(TypeError, match="trajectories"):
+            run(_circuit(), 10, trajectories="legacy")
+        with pytest.raises(TypeError, match="chunk_size"):
+            run(_circuit(), 10, chunk_size=13)
 
-    def test_auto_dispatch_reroutes_legacy(self):
+    def test_legacy_reference_records_its_mode(self):
         reset_trajectory_mode_counts()
-        run(
-            _circuit(),
-            50,
-            noise_model=_mixed_model(),
-            seed=1,
-            trajectories="legacy",
+        TrajectorySimulator(_mixed_model(), 1, trajectories="legacy").run(
+            _circuit(), 50
         )
         assert trajectory_mode_counts()["legacy"] == 1
 
@@ -265,17 +291,11 @@ class TestKnobsAndRouting:
         )
         assert a == b
 
-    def test_chunk_size_invariant_through_run(self):
-        base = run(
-            _circuit(), 300, noise_model=_mixed_model(), seed=17
-        )
-        chunked = run(
-            _circuit(),
-            300,
-            noise_model=_mixed_model(),
-            seed=17,
-            chunk_size=13,
-        )
+    def test_chunk_size_invariant_on_simulator(self):
+        base = TrajectorySimulator(_mixed_model(), 17).run(_circuit(), 300)
+        chunked = TrajectorySimulator(
+            _mixed_model(), 17, chunk_size=13
+        ).run(_circuit(), 300)
         assert chunked == base
 
 

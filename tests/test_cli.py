@@ -274,6 +274,38 @@ class TestExperimentCommand:
         assert "no 'iterations' parameter" in capsys.readouterr().err
 
 
+class TestRemovedSimulationFlags:
+    """The plan bypass and the ensemble knobs are gone from every CLI."""
+
+    @pytest.mark.parametrize(
+        "flag",
+        [["--no-plan"], ["--trajectories", "legacy"], ["--chunk-size", "8"]],
+    )
+    def test_simulate_rejects_flag(self, real_file, flag, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["simulate", str(real_file), "--shots", "10", *flag])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag", [["--trajectories", "legacy"], ["--chunk-size", "8"]]
+    )
+    def test_submit_simulate_rejects_flag(self, real_file, flag):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["submit", "--url", "http://127.0.0.1:9", "simulate",
+                  str(real_file), *flag])
+        assert exit_info.value.code == 2
+
+    @pytest.mark.parametrize(
+        "flag", [["--trajectories", "legacy"], ["--chunk-size", "8"]]
+    )
+    def test_experiment_run_rejects_flag(self, tmp_path, flag):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["experiment", "run", "table1", "--iterations", "1",
+                  "--store", str(tmp_path), *flag])
+        assert exit_info.value.code == 2
+
+
 class TestCleanErrors:
     """protect/restore/inspect report bad input as exit-2, no traceback."""
 
