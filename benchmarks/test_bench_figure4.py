@@ -10,20 +10,19 @@ Full-scale series: ``python -m repro.experiments.figure4``.
 
 import pytest
 
-from repro.experiments.runner import run_benchmark
-from repro.revlib import load_benchmark
+from repro.experiments import run_experiment
 
 _SMALL = ["4gt13", "one_bit_adder", "4mod5"]
 _LARGE = ["rd53"]
 
 
 def _tvd_pair(name: str, iterations: int, shots: int):
-    aggregate = run_benchmark(
-        load_benchmark(name),
-        iterations=iterations,
-        shots=shots,
-        seed=9,
+    report = run_experiment(
+        "table1",
+        {"benchmarks": [name], "iterations": iterations, "shots": shots,
+         "seed": 9},
     )
+    aggregate = report.result[name]
     obfuscated = aggregate.tvd_obfuscated_values
     restored = aggregate.tvd_restored_values
     return obfuscated, restored

@@ -5,7 +5,7 @@ runs (Table I / Figure 4) re-compile identical circuits every
 iteration, so a cache keyed on circuit structure + device + layout pin
 + schedule turns the repeated compiles into lookups.  The benches pin
 the per-compile speedup; ``test_cached_suite_pass_faster`` shows it
-end-to-end: a second ``run_suite`` pass over paper benchmarks (warm
+end-to-end: a second ``table1`` pass over paper benchmarks (warm
 cache) beats the first (cold cache) while producing bit-identical
 aggregates.
 
@@ -17,7 +17,7 @@ minimum-over-trials, which is robust to machine noise; set
 import os
 import time
 
-from repro.experiments.runner import run_suite
+from repro.experiments import run_experiment
 from repro.noise import valencia_like_backend
 from repro.revlib.benchmarks import benchmark_circuit, paper_suite
 from repro.transpiler import get_transpile_cache, transpile
@@ -28,18 +28,25 @@ _TRIALS = 2 if _SMOKE else 3
 _ITERATIONS = 2 if _SMOKE else 3
 
 
-def _suite_records():
-    return [r for r in paper_suite() if r.name in _SUITE_NAMES]
+def _suite_names():
+    return [r.name for r in paper_suite() if r.name in _SUITE_NAMES]
 
 
-def test_bench_transpile_uncached(benchmark):
+def _table1(names, iterations, shots, seed):
+    """Table I rows of *names* (name -> aggregate), computed in-process."""
+    report = run_experiment(
+        "table1",
+        {"benchmarks": list(names), "iterations": iterations,
+         "shots": shots, "seed": seed},
+    )
+    return report.result
+
+
+def test_bench_transpile_uncached(benchmark, transpile_cache_off):
     qc = benchmark_circuit("rd53")
     backend = valencia_like_backend(qc.num_qubits)
 
-    result = benchmark(
-        transpile, qc, backend=backend, optimization_level=2,
-        use_cache=False,
-    )
+    result = benchmark(transpile, qc, backend=backend, optimization_level=2)
     assert result.size > 0
 
 
@@ -55,11 +62,11 @@ def test_bench_transpile_cached(benchmark):
     assert result.from_cache
 
 
-def test_cache_hit_much_faster_than_compile():
+def test_cache_hit_much_faster_than_compile(transpile_cache_off):
     """A hit must cost a small fraction of a fresh compile."""
     qc = benchmark_circuit("rd53")
     backend = valencia_like_backend(qc.num_qubits)
-    get_transpile_cache().clear()
+    transpile_cache_off.clear()
 
     def cpu_min(fn, repeats=5):
         best = float("inf")
@@ -70,10 +77,9 @@ def test_cache_hit_much_faster_than_compile():
         return best
 
     fresh = cpu_min(
-        lambda: transpile(
-            qc, backend=backend, optimization_level=2, use_cache=False
-        )
+        lambda: transpile(qc, backend=backend, optimization_level=2)
     )
+    transpile_cache_off.enabled = True
     transpile(qc, backend=backend, optimization_level=2)
     hit = cpu_min(
         lambda: transpile(qc, backend=backend, optimization_level=2)
@@ -89,11 +95,11 @@ def test_cached_suite_pass_faster():
     hit.  Minimum CPU time over a few trials keeps the comparison
     stable; the aggregates must not change at all.
     """
-    records = _suite_records()
-    kwargs = dict(iterations=_ITERATIONS, shots=8, seed=11, jobs=1)
+    kwargs = dict(iterations=_ITERATIONS, shots=8, seed=11)
     cache = get_transpile_cache()
 
-    run_suite(records, **kwargs)  # one warmup pass (imports, pools)
+    names = _suite_names()
+    _table1(names, **kwargs)  # one warmup pass (imports)
 
     cold_best = warm_best = float("inf")
     cold_results = warm_results = None
@@ -103,11 +109,11 @@ def test_cached_suite_pass_faster():
     for trial in range(_TRIALS + 3):
         cache.clear()
         start = time.process_time()
-        cold_results = run_suite(records, **kwargs)
+        cold_results = _table1(names, **kwargs)
         cold_best = min(cold_best, time.process_time() - start)
 
         start = time.process_time()
-        warm_results = run_suite(records, **kwargs)
+        warm_results = _table1(names, **kwargs)
         warm_best = min(warm_best, time.process_time() - start)
         if trial + 1 >= _TRIALS and warm_best < cold_best:
             break
@@ -130,35 +136,31 @@ def test_cached_suite_pass_faster():
 
 def test_bench_suite_pass_cold(benchmark):
     """End-to-end suite pass with a cold cache each round."""
-    records = _suite_records()[:1]
+    names = _suite_names()[:1]
 
     def cold_pass():
         get_transpile_cache().clear()
-        return run_suite(records, iterations=2, shots=8, seed=11)
+        return _table1(names, iterations=2, shots=8, seed=11)
 
     results = benchmark(cold_pass)
-    assert set(results) == {records[0].name}
+    assert set(results) == set(names)
 
 
 def test_bench_suite_pass_warm(benchmark):
     """End-to-end suite pass against a fully warmed cache."""
-    records = _suite_records()[:1]
+    names = _suite_names()[:1]
     get_transpile_cache().clear()
-    run_suite(records, iterations=2, shots=8, seed=11)
+    _table1(names, iterations=2, shots=8, seed=11)
 
-    results = benchmark(
-        run_suite, records, iterations=2, shots=8, seed=11
-    )
-    assert set(results) == {records[0].name}
+    results = benchmark(_table1, names, iterations=2, shots=8, seed=11)
+    assert set(results) == set(names)
 
 
-def test_pass_timings_cover_schedule():
+def test_pass_timings_cover_schedule(transpile_cache_off):
     """Every preset pass shows up in the timing report."""
     qc = benchmark_circuit("4mod5")
     backend = valencia_like_backend(qc.num_qubits)
-    result = transpile(
-        qc, backend=backend, optimization_level=2, use_cache=False
-    )
+    result = transpile(qc, backend=backend, optimization_level=2)
     assert list(result.pass_timings) == [
         "TranslateToBasis",
         "GreedyLayout",

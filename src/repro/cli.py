@@ -15,7 +15,7 @@ design before sending it to third-party compilers:
   noise model, with engine and precision selection.
 * ``transpile`` — compile a circuit for a device through the preset
   pass schedule and report per-pass wall times plus transpile-cache
-  statistics (``--no-transpile-cache`` forces a fresh compile).
+  statistics.
 * ``attack`` — run a registered adversary model from
   :mod:`repro.attacks` against a real split pair (straight Saki cut
   or obfuscate+interlocking cut) of a benchmark or circuit file, with
@@ -41,11 +41,11 @@ design before sending it to third-party compilers:
   ``repro experiment list|run|resume|report`` runs any registered
   experiment grid with persistent JSONL checkpoints under
   ``results/``, exact resume after an interruption, ``--shard i/n``
-  splitting for multi-machine runs, and uniform ``--jobs`` /
-  ``--split-jobs`` / ``--no-transpile-cache`` knobs.
+  splitting for multi-machine runs, and a uniform ``--jobs`` knob.
 * ``table1`` / ``figure4`` / ``attack-complexity`` — shortcut to the
   experiment harnesses (extra flags such as ``--jobs`` pass straight
-  through).
+  through; bad input exits 2 with ``error: ...``, as ``experiment``
+  does).
 """
 
 from __future__ import annotations
@@ -299,7 +299,6 @@ def _cmd_transpile(args: argparse.Namespace) -> int:
         coupling = CouplingMap.ring(size)
     else:
         coupling = CouplingMap.full(size)
-    use_cache = None if not args.no_transpile_cache else False
     try:
         result = transpile(
             circuit,
@@ -307,7 +306,6 @@ def _cmd_transpile(args: argparse.Namespace) -> int:
             coupling=coupling,
             layout_method=args.layout,
             optimization_level=args.level,
-            use_cache=use_cache,
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -622,10 +620,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     transpile_cmd.add_argument("--level", type=int, default=1,
                                help="optimization level 0-3")
-    transpile_cmd.add_argument(
-        "--no-transpile-cache", action="store_true",
-        help="bypass the transpile cache for this compile",
-    )
     transpile_cmd.set_defaults(func=_cmd_transpile)
 
     attack = sub.add_parser(
@@ -866,7 +860,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         harness = importlib.import_module(
             f"repro.experiments.{args.harness}"
         )
-        return harness.main(extra)
+        try:
+            return harness.main(extra)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     if extra:
         parser.error(f"unrecognized arguments: {' '.join(extra)}")
     return args.func(args)

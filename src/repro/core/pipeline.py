@@ -20,7 +20,6 @@ DESIGN.md substitutions).
 
 from __future__ import annotations
 
-import concurrent.futures
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -149,27 +148,14 @@ class TetrisLockPipeline:
         gate_pool: Sequence[str] = ("x", "cx"),
         seed: Optional[Union[int, np.random.Generator]] = None,
         dtype: Optional[np.dtype] = None,
-        split_jobs: int = 1,
-        use_transpile_cache: Optional[bool] = None,
     ) -> None:
         """*dtype* is forwarded to :func:`repro.execution.run` — leave
-        ``None`` for each engine's default precision.  *split_jobs* > 1
-        compiles split segment 1 on a worker thread, overlapped with
-        the obfuscated-circuit simulation (compilation is RNG-free, so
-        results are unchanged).  *use_transpile_cache* forces the
-        transpile cache on/off (``None`` follows the global setting)."""
+        ``None`` for each engine's default precision."""
         self.backend = backend
         self.shots = shots
         self.gate_limit = gate_limit
         self.gate_pool = tuple(gate_pool)
         self.dtype = dtype
-        if split_jobs <= 0:
-            raise ValueError("split_jobs must be positive")
-        self.split_jobs = split_jobs
-        self.use_transpile_cache = use_transpile_cache
-        self._split_executor: Optional[
-            concurrent.futures.ThreadPoolExecutor
-        ] = None
         if isinstance(seed, np.random.Generator):
             self._rng = seed
         else:
@@ -181,18 +167,6 @@ class TetrisLockPipeline:
         # fresh backend, and an unbounded map would leak one Kraus
         # model per call.
         self._noise_model_entry: Optional[tuple] = None
-
-    @property
-    def _executor(self) -> Optional[concurrent.futures.Executor]:
-        """Lazy worker pool for pipelined segment-1 compilation."""
-        if self.split_jobs <= 1:
-            return None
-        if self._split_executor is None:
-            self._split_executor = concurrent.futures.ThreadPoolExecutor(
-                max_workers=self.split_jobs,
-                thread_name_prefix="split-compile",
-            )
-        return self._split_executor
 
     # ------------------------------------------------------------------
     def _backend_for(self, circuit: QuantumCircuit) -> Backend:
@@ -262,10 +236,7 @@ class TetrisLockPipeline:
         expected = "".join(reversed_bits[q] for q in output_qubits)[::-1]
 
         compiled_original = transpile(
-            circuit,
-            backend=backend,
-            optimization_level=2,
-            use_cache=self.use_transpile_cache,
+            circuit, backend=backend, optimization_level=2
         )
         counts_original = self._simulate(
             compiled_original, backend, circuit.num_qubits
@@ -280,32 +251,15 @@ class TetrisLockPipeline:
         split = interlocking_split(insertion, seed=self._rng)
 
         rc = insertion.rc_circuit()
-        compiled_rc = transpile(
-            rc,
-            backend=backend,
-            optimization_level=2,
-            use_cache=self.use_transpile_cache,
-        )
-
-        flow = SplitCompilationFlow(
-            backend,
-            obfuscator=obfuscator,
-            seed=self._rng,
-            executor=self._executor,
-            use_transpile_cache=self.use_transpile_cache,
-        )
-        # segment 1 of the split compiles on the flow's executor (when
-        # split_jobs > 1) while the noisy RC simulation below runs;
-        # segment 2 then waits on segment 1's layout pin inside
-        # compile_split.  Compilation draws no randomness, so the
-        # overlap cannot change any counts.
-        segment1 = flow.submit_segment1(split) if self._executor else None
-
+        compiled_rc = transpile(rc, backend=backend, optimization_level=2)
         counts_obfuscated = self._simulate(
             compiled_rc, backend, circuit.num_qubits
         )
 
-        compiled_split = flow.compile_split(split, compiled1=segment1)
+        flow = SplitCompilationFlow(
+            backend, obfuscator=obfuscator, seed=self._rng
+        )
+        compiled_split = flow.compile_split(split)
         counts_restored = self._simulate_restored(compiled_split, backend)
 
         return EvaluationResult(

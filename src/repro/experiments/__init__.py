@@ -38,7 +38,6 @@ from .attack_complexity import (
 from .figure4 import generate_figure4, render_figure4
 from .framework import (
     Cell,
-    ExecOptions,
     ExperimentSpec,
     ResultStore,
     RunReport,
@@ -48,12 +47,9 @@ from .framework import (
     register,
     run_experiment,
 )
-from .runner import AggregateResult, run_benchmark, run_suite
-from .table1 import generate_table1, render_table1
+from .table1 import AggregateResult, generate_table1, render_table1
 
 __all__ = [
-    "run_suite",
-    "run_benchmark",
     "AggregateResult",
     "generate_table1",
     "render_table1",
@@ -71,7 +67,6 @@ __all__ = [
     "render_sweep",
     # framework
     "Cell",
-    "ExecOptions",
     "ExperimentSpec",
     "ResultStore",
     "RunReport",

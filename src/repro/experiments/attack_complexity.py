@@ -34,7 +34,7 @@ from ..core.attack import (
     tetrislock_attack_complexity,
 )
 from ..revlib.benchmarks import benchmark_circuit
-from .framework import Cell, ExecOptions, ExperimentSpec, register, run_experiment
+from .framework import Cell, ExperimentSpec, register, run_experiment
 
 __all__ = [
     "ComplexityRow",
@@ -134,7 +134,6 @@ def _attack_task(
     config: Dict[str, Any],
     cell: Cell,
     seed: Optional[np.random.SeedSequence],
-    options: ExecOptions,
 ) -> Dict[str, Any]:
     if cell.id == "demo":
         demo = demo_bruteforce_attack(

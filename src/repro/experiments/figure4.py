@@ -28,8 +28,13 @@ import numpy as np
 
 from ..core.pipeline import EvaluationResult
 from .framework import ExperimentSpec, register, run_experiment
-from .runner import AggregateResult
-from .table1 import TABLE1_SPEC, aggregate_table, table_cells, table_task
+from .table1 import (
+    TABLE1_SPEC,
+    AggregateResult,
+    aggregate_table,
+    table_cells,
+    table_task,
+)
 
 __all__ = ["TvdSeries", "generate_figure4", "render_figure4", "main",
            "FIGURE4_SPEC"]
@@ -129,8 +134,6 @@ def generate_figure4(
     benchmarks: Optional[Sequence[str]] = None,
     results: Optional[Dict[str, AggregateResult]] = None,
     jobs: int = 1,
-    split_jobs: int = 1,
-    transpile_cache: bool = True,
 ) -> Dict[str, Dict[str, TvdSeries]]:
     """Compute TVD distributions; reuses Table I results when given."""
     if results is not None:
@@ -144,8 +147,6 @@ def generate_figure4(
             "benchmarks": list(benchmarks) if benchmarks else None,
         },
         jobs=jobs,
-        split_jobs=split_jobs,
-        transpile_cache=transpile_cache,
     )
     return report.result
 
@@ -181,14 +182,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--jobs", type=int, default=1,
         help="parallel workers (deterministic for a fixed seed)",
     )
-    parser.add_argument(
-        "--split-jobs", type=int, default=1,
-        help="pipelined split-compilation threads per iteration",
-    )
-    parser.add_argument(
-        "--no-transpile-cache", action="store_true",
-        help="recompile every iteration instead of reusing results",
-    )
     args = parser.parse_args(argv)
     figure = generate_figure4(
         iterations=args.iterations,
@@ -196,8 +189,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         seed=args.seed,
         benchmarks=args.benchmarks,
         jobs=args.jobs,
-        split_jobs=args.split_jobs,
-        transpile_cache=not args.no_transpile_cache,
     )
     print(render_figure4(figure))
     return 0

@@ -17,7 +17,6 @@
 from .runner import RunReport, parse_shard, run_experiment
 from .spec import (
     Cell,
-    ExecOptions,
     ExperimentSpec,
     get_spec,
     list_specs,
@@ -28,7 +27,6 @@ from .store import ResultStore, config_hash
 
 __all__ = [
     "Cell",
-    "ExecOptions",
     "ExperimentSpec",
     "ResultStore",
     "RunReport",

@@ -6,8 +6,7 @@ Execution model
 ``make_cells(config)`` expands the spec's parameter grid into an
 ordered cell list.  Every cell gets an independent seed spawned
 positionally from the root seed — ``SeedSequence(seed).spawn(n)[i]``
-for cell *i* — exactly the scheme :func:`repro.experiments.runner.run_suite`
-introduced.  Because a cell's seed depends only on the root seed and
+for cell *i*.  Because a cell's seed depends only on the root seed and
 the cell's position in the full grid (never on which cells run, in
 what order, or on which machine), the following are all bit-identical
 for a fixed seed:
@@ -30,7 +29,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .spec import Cell, ExecOptions, ExperimentSpec, get_spec
+from .spec import Cell, get_spec
 from .store import ResultStore, config_hash
 
 __all__ = ["RunReport", "run_experiment", "parse_shard"]
@@ -79,11 +78,10 @@ def _execute_cell(
     config: Dict[str, Any],
     cell: Cell,
     seed: Optional[np.random.SeedSequence],
-    options: ExecOptions,
 ) -> Any:
     """Run one cell — module-level so the process pool can pickle it."""
     spec = get_spec(spec_name)
-    return spec.task(config, cell, seed, options)
+    return spec.task(config, cell, seed)
 
 
 def run_experiment(
@@ -91,8 +89,6 @@ def run_experiment(
     overrides: Optional[Dict[str, Any]] = None,
     *,
     jobs: int = 1,
-    split_jobs: int = 1,
-    transpile_cache: bool = True,
     shard: Optional[Tuple[int, int]] = None,
     resume: bool = False,
     store: Optional[ResultStore] = None,
@@ -110,9 +106,6 @@ def run_experiment(
     spec = get_spec(name)
     config = spec.config(overrides)
     cfg_hash = config_hash(config)
-    options = ExecOptions(
-        split_jobs=split_jobs, transpile_cache=transpile_cache
-    )
 
     cells = spec.make_cells(config)
     if spec.seeded:
@@ -168,7 +161,7 @@ def run_experiment(
     if jobs == 1 or len(pending) <= 1:
         for index, cell in pending:
             _record(
-                cell, _execute_cell(name, config, cell, seeds[index], options)
+                cell, _execute_cell(name, config, cell, seeds[index])
             )
     else:
         workers = min(jobs, len(pending))
@@ -177,7 +170,7 @@ def run_experiment(
         ) as pool:
             futures = {
                 pool.submit(
-                    _execute_cell, name, config, cell, seeds[index], options
+                    _execute_cell, name, config, cell, seeds[index]
                 ): cell
                 for index, cell in pending
             }

@@ -35,7 +35,7 @@ from ..core.insertion import insert_random_pairs
 from ..execution import run as execute
 from ..metrics.tvd import tvd_to_reference
 from ..revlib.benchmarks import load_benchmark, paper_suite
-from .framework import Cell, ExecOptions, ExperimentSpec, register, run_experiment
+from .framework import Cell, ExperimentSpec, register, run_experiment
 
 __all__ = ["SweepPoint", "run_gate_limit_sweep", "render_sweep", "main",
            "SWEEP_SPEC"]
@@ -66,6 +66,8 @@ def _sweep_names(config: Dict[str, Any]) -> List[str]:
 
 
 def _sweep_cells(config: Dict[str, Any]) -> List[Cell]:
+    if int(config["iterations"]) <= 0:
+        raise ValueError("iterations must be positive")
     return [
         Cell(f"{name}/limit{limit}",
              {"benchmark": name, "gate_limit": int(limit)})
@@ -78,7 +80,6 @@ def _sweep_task(
     config: Dict[str, Any],
     cell: Cell,
     seed: Optional[np.random.SeedSequence],
-    options: ExecOptions,
 ) -> SweepPoint:
     """One curve point: mean inserted pairs + mean noiseless TVD."""
     record = load_benchmark(cell.params["benchmark"])
@@ -139,15 +140,11 @@ def run_gate_limit_sweep(
     shots: int = 512,
     seed: int = 9,
     jobs: int = 1,
-    split_jobs: int = 1,
-    transpile_cache: bool = True,
 ) -> List[SweepPoint]:
     """Noiseless obfuscated-TVD curve over insertion budgets.
 
     *jobs* fans the (benchmark, limit) grid over a process pool;
-    results are bit-identical for any *jobs* value.  *split_jobs* and
-    *transpile_cache* are accepted for knob uniformity across
-    experiments but are no-ops here (the sweep never transpiles).
+    results are bit-identical for any *jobs* value.
     """
     report = run_experiment(
         "sweep_gate_limit",
@@ -159,8 +156,6 @@ def run_gate_limit_sweep(
             "seed": seed,
         },
         jobs=jobs,
-        split_jobs=split_jobs,
-        transpile_cache=transpile_cache,
     )
     return report.result
 

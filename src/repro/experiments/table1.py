@@ -8,10 +8,10 @@ averages of 20 iterations at 1000 shots, exactly the procedure of
 Sec. V.
 
 The experiment is a registered :mod:`repro.experiments.framework`
-spec: one grid cell per (benchmark, iteration), seeded exactly like
-:func:`repro.experiments.runner.run_suite`, so checkpointed, resumed,
-sharded and parallel runs are all bit-identical to the historical
-sequential harness for a fixed seed.
+spec: one grid cell per (benchmark, iteration), benchmark-major, each
+seeded positionally from the root seed, so checkpointed, resumed,
+sharded and parallel runs are all bit-identical to a fresh sequential
+run for a fixed seed.
 
 Run as a script (thin wrapper over ``repro experiment run table1``)::
 
@@ -27,16 +27,17 @@ gates, and accuracy change below ~1–2%.
 from __future__ import annotations
 
 import argparse
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..core.pipeline import EvaluationResult
+from ..core.pipeline import EvaluationResult, TetrisLockPipeline
 from ..revlib.benchmarks import TABLE1_PAPER_VALUES, load_benchmark, paper_suite
-from .framework import Cell, ExecOptions, ExperimentSpec, register, run_experiment
-from .runner import AggregateResult, _evaluate_record
+from .framework import Cell, ExperimentSpec, register, run_experiment
 
-__all__ = ["generate_table1", "render_table1", "main", "TABLE1_SPEC"]
+__all__ = ["AggregateResult", "generate_table1", "render_table1", "main",
+           "TABLE1_SPEC"]
 
 _COLUMNS = [
     ("Circuit", "name", "s"),
@@ -49,6 +50,68 @@ _COLUMNS = [
     ("AccRest", "accuracy_restored", ".3f"),
     ("AccΔ%", "accuracy_change_pct", ".2f"),
 ]
+
+
+@dataclass
+class AggregateResult:
+    """Iteration-averaged metrics for one benchmark (one Table I row)."""
+
+    name: str
+    iterations: List[EvaluationResult] = field(default_factory=list)
+
+    def _mean(self, attr: str) -> float:
+        return float(
+            np.mean([getattr(it, attr) for it in self.iterations])
+        )
+
+    def _values(self, attr: str) -> List[float]:
+        return [float(getattr(it, attr)) for it in self.iterations]
+
+    # -- Table I columns --------------------------------------------------
+    @property
+    def depth(self) -> float:
+        return self._mean("depth_original")
+
+    @property
+    def depth_obfuscated(self) -> float:
+        return self._mean("depth_obfuscated")
+
+    @property
+    def gates(self) -> float:
+        return self._mean("gates_original")
+
+    @property
+    def gates_obfuscated(self) -> float:
+        return self._mean("gates_obfuscated")
+
+    @property
+    def gate_change_pct(self) -> float:
+        return self._mean("gate_change_pct")
+
+    @property
+    def accuracy(self) -> float:
+        return self._mean("accuracy_original")
+
+    @property
+    def accuracy_restored(self) -> float:
+        return self._mean("accuracy_restored")
+
+    @property
+    def accuracy_change_pct(self) -> float:
+        return 100.0 * self._mean("accuracy_change")
+
+    # -- Figure 4 series ---------------------------------------------------
+    @property
+    def tvd_obfuscated_values(self) -> List[float]:
+        return self._values("tvd_obfuscated")
+
+    @property
+    def tvd_restored_values(self) -> List[float]:
+        return self._values("tvd_restored")
+
+    @property
+    def depth_always_preserved(self) -> bool:
+        return all(it.depth_preserved for it in self.iterations)
 
 
 # ---------------------------------------------------------------------------
@@ -70,17 +133,19 @@ def _suite_names(config: Dict[str, Any]) -> List[str]:
 
 
 def table_cells(config: Dict[str, Any]) -> List[Cell]:
-    """(benchmark, iteration) grid in ``run_suite``'s historical order.
+    """(benchmark, iteration) grid, benchmark-major, iteration-minor.
 
-    Benchmark-major, iteration-minor — the positional seed spawned for
-    cell *i* matches what ``run_suite`` hands that same evaluation, so
-    framework results are bit-identical to the legacy path.
+    The order fixes each cell's positional seed, so it must not change
+    without re-pinning every recorded Table I / Figure 4 result.
     """
+    iterations = int(config["iterations"])
+    if iterations <= 0:
+        raise ValueError("iterations must be positive")
     return [
         Cell(f"{name}/{iteration}",
              {"benchmark": name, "iteration": iteration})
         for name in _suite_names(config)
-        for iteration in range(int(config["iterations"]))
+        for iteration in range(iterations)
     ]
 
 
@@ -88,17 +153,18 @@ def table_task(
     config: Dict[str, Any],
     cell: Cell,
     seed: Optional[np.random.SeedSequence],
-    options: ExecOptions,
 ) -> EvaluationResult:
     """One pipeline evaluation — pure and picklable."""
     record = load_benchmark(cell.params["benchmark"])
-    return _evaluate_record(
-        record,
+    pipeline = TetrisLockPipeline(
         shots=int(config["shots"]),
         gate_limit=int(config["gate_limit"]),
-        seed=seed,
-        split_jobs=options.split_jobs,
-        transpile_cache=options.transpile_cache,
+        seed=np.random.default_rng(seed),
+    )
+    return pipeline.evaluate(
+        record.circuit(),
+        name=record.name,
+        output_qubits=record.output_qubits,
     )
 
 
@@ -148,15 +214,11 @@ def generate_table1(
     seed: Optional[int] = 2025,
     benchmarks: Optional[Sequence[str]] = None,
     jobs: int = 1,
-    split_jobs: int = 1,
-    transpile_cache: bool = True,
 ) -> Dict[str, AggregateResult]:
     """Compute all Table I rows; returns name -> aggregate.
 
-    *jobs* parallelises the (benchmark, iteration) grid; *split_jobs*
-    pipelines each iteration's split compilation; *transpile_cache*
-    toggles compile reuse across iterations.  Results are identical for
-    a fixed seed whatever the settings.
+    *jobs* parallelises the (benchmark, iteration) grid; results are
+    identical for a fixed seed whatever its value.
     """
     report = run_experiment(
         "table1",
@@ -167,8 +229,6 @@ def generate_table1(
             "benchmarks": list(benchmarks) if benchmarks else None,
         },
         jobs=jobs,
-        split_jobs=split_jobs,
-        transpile_cache=transpile_cache,
     )
     return report.result
 
@@ -216,14 +276,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--jobs", type=int, default=1,
         help="parallel workers (deterministic for a fixed seed)",
     )
-    parser.add_argument(
-        "--split-jobs", type=int, default=1,
-        help="pipelined split-compilation threads per iteration",
-    )
-    parser.add_argument(
-        "--no-transpile-cache", action="store_true",
-        help="recompile every iteration instead of reusing results",
-    )
     args = parser.parse_args(argv)
     results = generate_table1(
         iterations=args.iterations,
@@ -231,8 +283,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         seed=args.seed,
         benchmarks=args.benchmarks,
         jobs=args.jobs,
-        split_jobs=args.split_jobs,
-        transpile_cache=not args.no_transpile_cache,
     )
     print(render_table1(results))
     return 0

@@ -10,9 +10,8 @@ returned circuit or layouts.
 
 The module-level singleton (:func:`get_transpile_cache`) is what
 ``transpile()`` consults; it is per-process (each worker of a parallel
-suite run warms its own) and thread-safe (the pipelined split
-compilation of :class:`~repro.core.deobfuscate.SplitCompilationFlow`
-compiles from worker threads).
+suite run warms its own) and thread-safe.  Its ``enabled`` flag is the
+one switch: clear it to compile every call afresh.
 """
 
 from __future__ import annotations

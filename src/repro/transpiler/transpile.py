@@ -127,7 +127,6 @@ def transpile(
     initial_layout: Optional[Union[Layout, Sequence[int]]] = None,
     layout_method: str = "greedy",
     optimization_level: int = 1,
-    use_cache: Optional[bool] = None,
 ) -> TranspileResult:
     """Compile *circuit* for a device.
 
@@ -146,11 +145,11 @@ def transpile(
         *initial_layout* is given.
     optimization_level:
         0 (none) to 3 (aggressive 1-qubit fusion + cancellation).
-    use_cache:
-        ``True``/``False`` forces the transpile cache on/off for this
-        call; ``None`` (default) follows the global cache's ``enabled``
-        flag.  Compilation is deterministic, so a cache hit is
-        bit-identical to a fresh compile.
+
+    Results are served from the transpile cache while its ``enabled``
+    flag is set (:func:`~repro.transpiler.cache.get_transpile_cache`).
+    Compilation is deterministic, so a cache hit is bit-identical to a
+    fresh compile.
     """
     if coupling is None:
         if backend is not None:
@@ -173,9 +172,8 @@ def transpile(
         raise ValueError(f"unknown layout method {layout_method!r}")
 
     cache = get_transpile_cache()
-    cache_on = cache.enabled if use_cache is None else use_cache
     key = None
-    if cache_on:
+    if cache.enabled:
         key = (
             circuit_structural_hash(circuit),
             coupling_cache_key(coupling),

@@ -226,61 +226,3 @@ class TestRecombineErrorPaths:
         with pytest.raises(ValueError, match="different devices"):
             recombine_physical(compiled1, wider)
 
-
-class TestPipelinedCompilation:
-    """compile_splits must equal sequential compilation exactly."""
-
-    def _splits(self, count=3):
-        circuit = benchmark_circuit("4mod5")
-        splits = []
-        for s in range(count):
-            insertion = TetrisLockObfuscator(seed=s).obfuscate(circuit)
-            splits.append(interlocking_split(insertion, seed=s))
-        return splits
-
-    def _assert_same(self, left, right):
-        assert len(left) == len(right)
-        for a, b in zip(left, right):
-            assert a.restored == b.restored
-            assert a.output_layout == b.output_layout
-            assert a.compiled1.final_layout == b.compiled1.final_layout
-
-    def test_thread_pool_jobs_match_sequential(self):
-        backend = valencia_like_backend(5)
-        splits = self._splits()
-        flow = SplitCompilationFlow(backend, seed=0)
-        sequential = flow.compile_splits(splits)
-        pipelined = flow.compile_splits(splits, jobs=2)
-        self._assert_same(sequential, pipelined)
-
-    def test_explicit_executor_matches_sequential(self):
-        import concurrent.futures
-
-        backend = valencia_like_backend(5)
-        splits = self._splits()
-        sequential = SplitCompilationFlow(backend, seed=0).compile_splits(
-            splits
-        )
-        with concurrent.futures.ThreadPoolExecutor(2) as pool:
-            flow = SplitCompilationFlow(backend, seed=0, executor=pool)
-            pipelined = flow.compile_splits(splits)
-        self._assert_same(sequential, pipelined)
-
-    def test_submit_segment1_without_executor_resolves_inline(self):
-        backend = valencia_like_backend(5)
-        split = self._splits(1)[0]
-        flow = SplitCompilationFlow(backend, seed=0)
-        future = flow.submit_segment1(split)
-        assert future.done()
-        compiled = flow.compile_split(split, compiled1=future)
-        assert compiled.restored.size() > 0
-
-    def test_run_many_matches_individual_runs(self):
-        circuit = benchmark_circuit("4mod5")
-        backend = valencia_like_backend(5)
-        batch = SplitCompilationFlow(backend, seed=9).run_many(
-            [circuit, circuit]
-        )
-        one_by_one_flow = SplitCompilationFlow(backend, seed=9)
-        singles = [one_by_one_flow.run(circuit), one_by_one_flow.run(circuit)]
-        self._assert_same(batch, singles)

@@ -1,14 +1,20 @@
 """Parallel suite mode: jobs-independent, bit-identical aggregates."""
 
-import numpy as np
 import pytest
 
-from repro.experiments.runner import run_benchmark, run_suite
-from repro.revlib.benchmarks import load_benchmark
+from repro.experiments import run_experiment
+
+_NAMES = ["4gt13", "one_bit_adder"]
 
 
-def _records():
-    return [load_benchmark("4gt13"), load_benchmark("one_bit_adder")]
+def _table1(names, iterations, shots, seed, jobs=1):
+    report = run_experiment(
+        "table1",
+        {"benchmarks": names, "iterations": iterations, "shots": shots,
+         "seed": seed},
+        jobs=jobs,
+    )
+    return report.result
 
 
 def _fingerprint(results):
@@ -31,77 +37,44 @@ def _fingerprint(results):
 
 class TestParallelSuite:
     def test_jobs_do_not_change_results(self):
-        sequential = run_suite(
-            _records(), iterations=2, shots=150, seed=13, jobs=1
-        )
-        parallel = run_suite(
-            _records(), iterations=2, shots=150, seed=13, jobs=2
-        )
+        sequential = _table1(_NAMES, iterations=2, shots=150, seed=13, jobs=1)
+        parallel = _table1(_NAMES, iterations=2, shots=150, seed=13, jobs=2)
         assert _fingerprint(sequential) == _fingerprint(parallel)
 
     def test_fixed_seed_is_reproducible(self):
-        one = run_suite(_records()[:1], iterations=2, shots=100, seed=3)
-        two = run_suite(_records()[:1], iterations=2, shots=100, seed=3)
+        one = _table1(_NAMES[:1], iterations=2, shots=100, seed=3)
+        two = _table1(_NAMES[:1], iterations=2, shots=100, seed=3)
         assert _fingerprint(one) == _fingerprint(two)
 
     def test_different_seeds_differ(self):
-        one = run_suite(_records()[:1], iterations=2, shots=100, seed=3)
-        two = run_suite(_records()[:1], iterations=2, shots=100, seed=4)
+        one = _table1(_NAMES[:1], iterations=2, shots=100, seed=3)
+        two = _table1(_NAMES[:1], iterations=2, shots=100, seed=4)
         assert _fingerprint(one) != _fingerprint(two)
 
     def test_iteration_count_and_names(self):
-        results = run_suite(
-            _records(), iterations=3, shots=50, seed=1, jobs=2
-        )
-        assert set(results) == {"4gt13", "one_bit_adder"}
+        results = _table1(_NAMES, iterations=3, shots=50, seed=1, jobs=2)
+        assert set(results) == set(_NAMES)
         for aggregate in results.values():
             assert len(aggregate.iterations) == 3
 
-    def test_run_benchmark_delegates(self):
-        record = _records()[0]
-        aggregate = run_benchmark(
-            record, iterations=2, shots=100, seed=9, jobs=2
-        )
-        assert aggregate.name == "4gt13"
-        assert len(aggregate.iterations) == 2
-        # matches the suite path with the same parameters
-        via_suite = run_suite(
-            [record], iterations=2, shots=100, seed=9, jobs=1
-        )["4gt13"]
-        assert _fingerprint({"4gt13": aggregate}) == _fingerprint(
-            {"4gt13": via_suite}
-        )
-
     def test_invalid_arguments(self):
-        with pytest.raises(ValueError):
-            run_suite(_records(), iterations=0)
-        with pytest.raises(ValueError):
-            run_suite(_records(), jobs=0)
+        with pytest.raises(ValueError, match="iterations must be positive"):
+            _table1(_NAMES, iterations=0, shots=10, seed=1)
+        with pytest.raises(ValueError, match="jobs must be positive"):
+            _table1(_NAMES, iterations=1, shots=10, seed=1, jobs=0)
 
 
 class TestCompilationKnobs:
-    """split_jobs and the transpile cache never change any result."""
+    """The transpile cache never changes any result."""
 
-    def test_split_jobs_do_not_change_results(self):
-        baseline = run_suite(
-            _records(), iterations=2, shots=100, seed=21, split_jobs=1
-        )
-        pipelined = run_suite(
-            _records(), iterations=2, shots=100, seed=21, split_jobs=2
-        )
-        assert _fingerprint(baseline) == _fingerprint(pipelined)
-
-    def test_transpile_cache_does_not_change_results(self):
-        from repro.transpiler import get_transpile_cache
-
-        get_transpile_cache().clear()
-        cached = run_suite(
-            _records(), iterations=2, shots=100, seed=21,
-            transpile_cache=True,
-        )
-        assert get_transpile_cache().stats().hits > 0
-        uncached = run_suite(
-            _records(), iterations=2, shots=100, seed=21,
-            transpile_cache=False,
-        )
+    def test_transpile_cache_does_not_change_results(
+        self, transpile_cache_off
+    ):
+        transpile_cache_off.clear()
+        uncached = _table1(_NAMES, iterations=2, shots=100, seed=21)
+        assert len(transpile_cache_off) == 0
+        transpile_cache_off.enabled = True
+        transpile_cache_off.clear()
+        cached = _table1(_NAMES, iterations=2, shots=100, seed=21)
+        assert transpile_cache_off.stats().hits > 0
         assert _fingerprint(cached) == _fingerprint(uncached)

@@ -111,22 +111,10 @@ class TestTranspileCommand:
         assert "from cache" in out
         assert "1 hit(s)" in out
 
-    def test_no_transpile_cache_flag(self, real_file, capsys):
-        from repro.transpiler import get_transpile_cache
-
-        get_transpile_cache().clear()
-        main(["transpile", str(real_file), "--no-transpile-cache"])
-        code = main(["transpile", str(real_file), "--no-transpile-cache"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "from cache" not in out
-        assert "0 hit(s)" in out
-
     def test_line_coupling_and_trivial_layout(self, real_file, capsys):
         code = main(
             ["transpile", str(real_file), "--coupling", "line",
-             "--layout", "trivial", "--size", "6",
-             "--no-transpile-cache"]
+             "--layout", "trivial", "--size", "6"]
         )
         assert code == 0
         out = capsys.readouterr().out
@@ -209,6 +197,14 @@ class TestExperimentShortcuts:
         out = capsys.readouterr().out
         assert "Saki" in out
 
+    @pytest.mark.parametrize("name", ["table1", "figure4"])
+    def test_bad_input_exits_2_without_traceback(self, name, capsys):
+        code = main([name, "--benchmarks", "nosuch"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error: unknown benchmark(s) nosuch" in err
+        assert "Traceback" not in err
+
 
 class TestExperimentCommand:
     def test_list(self, capsys):
@@ -267,6 +263,17 @@ class TestExperimentCommand:
         assert code == 2
         assert "unknown experiment" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("iterations", ["0", "-1"])
+    @pytest.mark.parametrize(
+        "name",
+        ["table1", "figure4", "sweep_gate_limit", "ablation_insertion"],
+    )
+    def test_nonpositive_iterations_rejected(self, name, iterations, capsys):
+        code = main(["experiment", "run", name, "--iterations", iterations,
+                     "--no-store", "--quiet"])
+        assert code == 2
+        assert "iterations must be positive" in capsys.readouterr().err
+
     def test_unknown_parameter_fails_cleanly(self, capsys):
         code = main(["experiment", "run", "attack_complexity",
                      "--iterations", "3"])
@@ -275,7 +282,8 @@ class TestExperimentCommand:
 
 
 class TestRemovedSimulationFlags:
-    """The plan bypass and the ensemble knobs are gone from every CLI."""
+    """The plan bypass, the ensemble knobs and the compile knobs are
+    gone from every CLI."""
 
     @pytest.mark.parametrize(
         "flag",
@@ -297,13 +305,30 @@ class TestRemovedSimulationFlags:
         assert exit_info.value.code == 2
 
     @pytest.mark.parametrize(
-        "flag", [["--trajectories", "legacy"], ["--chunk-size", "8"]]
+        "flag",
+        [["--trajectories", "legacy"], ["--chunk-size", "8"],
+         ["--split-jobs", "2"], ["--no-transpile-cache"]],
     )
     def test_experiment_run_rejects_flag(self, tmp_path, flag):
         with pytest.raises(SystemExit) as exit_info:
             main(["experiment", "run", "table1", "--iterations", "1",
                   "--store", str(tmp_path), *flag])
         assert exit_info.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["transpile", "REAL", "--no-transpile-cache"],
+         ["table1", "--split-jobs", "2"],
+         ["table1", "--no-transpile-cache"],
+         ["figure4", "--split-jobs", "2"],
+         ["figure4", "--no-transpile-cache"]],
+    )
+    def test_compile_knob_rejected(self, real_file, argv, capsys):
+        argv = [str(real_file) if arg == "REAL" else arg for arg in argv]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestCleanErrors:

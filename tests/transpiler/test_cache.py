@@ -89,15 +89,14 @@ class TestTranspileCacheHits:
         stats = get_transpile_cache().stats()
         assert stats.hits == 1 and stats.misses == 1
 
-    def test_cached_result_bit_identical(self):
+    def test_cached_result_bit_identical(self, transpile_cache_off):
         """A hit must be indistinguishable from a fresh compile."""
         backend = fake_valencia()
+        uncached = transpile(_circuit(), backend=backend, optimization_level=2)
+        transpile_cache_off.enabled = True
         fresh = transpile(_circuit(), backend=backend, optimization_level=2)
         cached = transpile(_circuit(), backend=backend, optimization_level=2)
-        uncached = transpile(
-            _circuit(), backend=backend, optimization_level=2,
-            use_cache=False,
-        )
+        assert not uncached.from_cache and cached.from_cache
         for other in (cached, uncached):
             assert other.circuit == fresh.circuit
             assert other.initial_layout == fresh.initial_layout
@@ -143,11 +142,15 @@ class TestTranspileCacheHits:
         ]
         assert not any(v.from_cache for v in variants)
 
-    def test_use_cache_false_bypasses(self):
+    def test_use_cache_false_bypasses(self, transpile_cache_off):
+        """Switching the cache off bypasses entries it already holds."""
         backend = fake_valencia()
+        transpile_cache_off.enabled = True
         transpile(_circuit(), backend=backend)
-        again = transpile(_circuit(), backend=backend, use_cache=False)
+        transpile_cache_off.enabled = False
+        again = transpile(_circuit(), backend=backend)
         assert not again.from_cache
+        assert len(transpile_cache_off) == 1
 
     def test_globally_disabled_cache(self):
         cache = get_transpile_cache()
@@ -163,14 +166,14 @@ class TestTranspileCacheHits:
 
 
 class TestTranspileCacheContainer:
-    def test_lru_eviction(self):
+    def test_lru_eviction(self, transpile_cache_off):
         cache = TranspileCache(maxsize=2)
         backend = fake_valencia()
         results = {}
         for i in range(3):
             qc = QuantumCircuit(2)
             qc.rz(0.1 * (i + 1), 0)
-            results[i] = transpile(qc, backend=backend, use_cache=False)
+            results[i] = transpile(qc, backend=backend)
             cache.store(("k", i), results[i])
         assert cache.lookup(("k", 0)) is None  # evicted
         assert cache.lookup(("k", 2)).circuit == results[2].circuit

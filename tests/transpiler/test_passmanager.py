@@ -122,7 +122,7 @@ class TestPresetSchedule:
         with pytest.raises(ValueError):
             preset_schedule(layout_method="sabre")
 
-    def test_manual_schedule_matches_transpile(self):
+    def test_manual_schedule_matches_transpile(self, transpile_cache_off):
         """Running the preset schedule by hand reproduces transpile()."""
         qc = _bell_plus_junk()
         backend = fake_valencia()
@@ -133,9 +133,7 @@ class TestPresetSchedule:
         circuit, props = PassManager(
             preset_schedule(optimization_level=2)
         ).run(qc, props)
-        result = transpile(
-            qc, backend=backend, optimization_level=2, use_cache=False
-        )
+        result = transpile(qc, backend=backend, optimization_level=2)
         assert circuit == result.circuit
         assert props["initial_layout"] == result.initial_layout
         assert props["final_layout"] == result.final_layout
@@ -156,8 +154,8 @@ class TestPresetSchedule:
 
 
 class TestTranspileResultTimings:
-    def test_transpile_surfaces_pass_timings(self):
-        result = transpile(_bell_plus_junk(), use_cache=False)
+    def test_transpile_surfaces_pass_timings(self, transpile_cache_off):
+        result = transpile(_bell_plus_junk())
         assert "TranslateToBasis" in result.pass_timings
         assert "Route" in result.pass_timings
         assert result.compile_seconds == pytest.approx(
@@ -165,14 +163,10 @@ class TestTranspileResultTimings:
         )
         assert not result.from_cache
 
-    def test_level_controls_optimization_passes(self):
-        level0 = transpile(
-            _bell_plus_junk(), optimization_level=0, use_cache=False
-        )
+    def test_level_controls_optimization_passes(self, transpile_cache_off):
+        level0 = transpile(_bell_plus_junk(), optimization_level=0)
         assert "RemoveIdentities" not in level0.pass_timings
-        level2 = transpile(
-            _bell_plus_junk(), optimization_level=2, use_cache=False
-        )
+        level2 = transpile(_bell_plus_junk(), optimization_level=2)
         assert "FuseSingleQubitRuns" in level2.pass_timings
 
 
@@ -187,13 +181,10 @@ class TestOptimizeCircuitWrapper:
         by_manager, _ = PassManager(optimization_passes(2)).run(qc)
         assert by_wrapper == by_manager
 
-    def test_transpile_still_equivalent_end_to_end(self):
+    def test_transpile_still_equivalent_end_to_end(self, transpile_cache_off):
         qc = _bell_plus_junk()
         for level in (0, 1, 2, 3):
             result = transpile(
-                qc,
-                coupling=CouplingMap.line(3),
-                optimization_level=level,
-                use_cache=False,
+                qc, coupling=CouplingMap.line(3), optimization_level=level
             )
             assert routed_equivalent(qc, result)
